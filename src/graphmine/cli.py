@@ -264,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="reserved; all kernels currently run single-threaded (value 1 "
-        "is the deterministic reference path)",
+        help="reserved; not applied yet (the BLAS thread pool follows its "
+        "own environment, e.g. OPENBLAS_NUM_THREADS)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -86,11 +86,11 @@ class GraphTooLarge(GraphContractError):
 # --- numerical kernels ---
 
 class NotSymmetric(InputContractError):
-    """Matrix asymmetry exceeds the symmetric-solver tolerance."""
+    """Matrix has a non-finite entry or asymmetry above the solver tolerance."""
 
 
 class NoConvergence(GraphMineError):
-    """An iterative kernel hit its sweep budget before converging."""
+    """A numerical kernel failed to converge (LAPACK reported an error)."""
 
 
 class MatrixTooLarge(InputContractError):

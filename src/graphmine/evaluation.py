@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import (
     DegenerateSplit,
@@ -186,9 +185,22 @@ def softmax_predict(model: SoftmaxModel, x: np.ndarray) -> np.ndarray:
     return _softmax_rows(_with_bias(x) @ model.weights)
 
 
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties given their mean rank; all NaN if any is NaN."""
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def _binary_auc(y: np.ndarray, scores: np.ndarray) -> float:
     # Mann-Whitney with midrank tie correction
-    ranks = rankdata(scores, method="average")
+    ranks = _midranks(scores)
     n_pos = int(np.sum(y == 1))
     n_neg = y.size - n_pos
     rank_sum = float(ranks[y == 1].sum())

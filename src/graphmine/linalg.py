@@ -1,15 +1,17 @@
 """Dense symmetric eigendecomposition and randomized truncated SVD.
 
 These two kernels are the only decomposition primitives the embedding and
-fingerprint models use.  Both are deterministic: the eigensolver visits
-pivots in a fixed round-robin schedule, and the SVD draws its sketch from a
-:class:`~graphmine.graph_core.RandomSource`.
+fingerprint models use.  Both rest on LAPACK's symmetric eigensolver
+(``numpy.linalg.eigh``): dense inputs are validated up front, and a LAPACK
+failure surfaces as :class:`~graphmine.errors.NoConvergence`.  The SVD
+draws its sketch from a :class:`~graphmine.graph_core.RandomSource`.
+Results are byte-identical across reruns on the same BLAS build and thread
+count; across thread counts they may differ in the last bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +30,6 @@ __all__ = [
 DENSE_SIZE_CAP = 1024
 
 _SYMMETRY_TOL = 1e-10
-_SWEEP_LIMIT = 100
 
 
 @dataclass(frozen=True)
@@ -48,93 +49,6 @@ class SvdResult:
     V: np.ndarray
 
 
-@lru_cache(maxsize=64)
-def _round_robin_rounds(n: int) -> tuple:
-    """Tournament schedule: each round pairs disjoint indices, all C(n,2)
-    pairs covered exactly once across the rounds."""
-    m = n if n % 2 == 0 else n + 1
-    others = list(range(1, m))
-    rounds = []
-    for _ in range(m - 1):
-        row = [0] + others
-        ps, qs = [], []
-        for i in range(m // 2):
-            a, b = row[i], row[m - 1 - i]
-            if a < n and b < n:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        rounds.append((np.array(ps, dtype=np.intp), np.array(qs, dtype=np.intp)))
-        others = [others[-1]] + others[:-1]
-    return tuple(rounds)
-
-
-def _offdiag_norm(a: np.ndarray, scratch: np.ndarray) -> float:
-    # Computed on a zero-diagonal copy: subtracting the diagonal's square
-    # from the total suffers catastrophic cancellation near convergence.
-    np.copyto(scratch, a)
-    np.fill_diagonal(scratch, 0.0)
-    return float(np.linalg.norm(scratch))
-
-
-def _jacobi(a: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Cyclic Jacobi with simultaneous rotation of disjoint pivot pairs.
-
-    Within a round all pairs are disjoint, so their rotations commute and can
-    be applied in one vectorized column + row pass.  Convergence is declared
-    when the off-diagonal Frobenius norm drops below 1e-12 relative to the
-    input's scale (max(1, ||A||_F), which is the absolute 1e-12 on
-    unit-scale inputs).
-    """
-    a = np.array(a, dtype=np.float64)
-    n = a.shape[0]
-    v = np.eye(n) if want_vectors else None
-    if n == 1:
-        return a.ravel().copy(), v
-    tol = 1e-12 * max(1.0, float(np.linalg.norm(a)))
-    scratch = np.empty_like(a)
-    for _ in range(_SWEEP_LIMIT):
-        if _offdiag_norm(a, scratch) < tol:
-            break
-        for ps, qs in _round_robin_rounds(n):
-            apq = a[ps, qs]
-            live = np.abs(apq) > 0.0
-            if not live.any():
-                continue
-            p, q = ps[live], qs[live]
-            apq = apq[live]
-            app = a[p, p]
-            aqq = a[q, q]
-            tau = (aqq - app) / (2.0 * apq)
-            t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            t[tau == 0.0] = 1.0
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            # A <- J^T A J for the block rotation J over all live pairs
-            col_p = a[:, p].copy()
-            col_q = a[:, q].copy()
-            a[:, p] = c * col_p - s * col_q
-            a[:, q] = s * col_p + c * col_q
-            row_p = a[p, :].copy()
-            row_q = a[q, :].copy()
-            a[p, :] = c[:, None] * row_p - s[:, None] * row_q
-            a[q, :] = s[:, None] * row_p + c[:, None] * row_q
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            if want_vectors:
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p - s * vcol_q
-                v[:, q] = s * vcol_p + c * vcol_q
-    else:
-        raise NoConvergence(f"eigensolver did not converge in {_SWEEP_LIMIT} sweeps")
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    if want_vectors:
-        v = v[:, order]
-    return eigenvalues, v
-
-
 def _check_square_symmetric(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -142,11 +56,20 @@ def _check_square_symmetric(a: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if n > DENSE_SIZE_CAP:
         raise MatrixTooLarge(f"dense eigensolver is capped at {DENSE_SIZE_CAP}, got {n}")
+    if not np.isfinite(a).all():
+        raise NotSymmetric("non-finite entry")
     if n > 0:
         dev = float(np.max(np.abs(a - a.T)))
         if dev > _SYMMETRY_TOL:
             raise NotSymmetric(f"asymmetry {dev:.3e} exceeds {_SYMMETRY_TOL:.0e}")
     return a
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from exc
 
 
 def eig_symmetric(a: np.ndarray) -> EigenDecomposition:
@@ -155,16 +78,17 @@ def eig_symmetric(a: np.ndarray) -> EigenDecomposition:
     Returns eigenvalues ascending with orthonormal eigenvector columns in
     matching order.
     """
-    a = _check_square_symmetric(a)
-    eigenvalues, vectors = _jacobi(a, want_vectors=True)
+    eigenvalues, vectors = _eigh(_check_square_symmetric(a))
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
 
 
 def eigvals_symmetric(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues only (ascending); skips accumulating the rotations."""
-    a = _check_square_symmetric(a)
-    eigenvalues, _ = _jacobi(a, want_vectors=False)
-    return eigenvalues
+    """Eigenvalues only (ascending).
+
+    Taken from the full decomposition rather than ``eigvalsh``, so the bytes
+    equal ``eig_symmetric(a).eigenvalues`` exactly.
+    """
+    return eig_symmetric(a).eigenvalues
 
 
 def randomized_svd(a: SparseMatrix, k: int, rng: RandomSource) -> SvdResult:
@@ -172,9 +96,9 @@ def randomized_svd(a: SparseMatrix, k: int, rng: RandomSource) -> SvdResult:
 
     Oversampling 10 and 4 power iterations (with QR re-orthonormalization
     each step) are fixed.  The small projected Gram matrix is diagonalized by
-    the symmetric eigensolver above, so the whole routine is self-contained
-    and deterministic given ``rng``.  Signs are canonicalized so the largest-
-    magnitude entry of each left vector is positive.
+    LAPACK's symmetric eigensolver, so the result is deterministic given
+    ``rng`` (and the BLAS thread count).  Signs are canonicalized so the
+    largest-magnitude entry of each left vector is positive.
     """
     rows, cols = a.shape
     if k < 1 or k > min(rows, cols):
@@ -191,7 +115,7 @@ def randomized_svd(a: SparseMatrix, k: int, rng: RandomSource) -> SvdResult:
     b = q.T @ m  # sketch x cols, dense
     gram = b @ b.T
     gram = 0.5 * (gram + gram.T)
-    lam, ub = _jacobi(gram, want_vectors=True)
+    lam, ub = _eigh(gram)
     order = np.argsort(lam, kind="stable")[::-1][:k]
     lam = np.maximum(lam[order], 0.0)
     sigma = np.sqrt(lam)

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -210,6 +213,28 @@ def test_auc_ignores_monotone_score_transforms():
     gen = RandomSource(6, 0).generator()
     scores = gen.random((6, 2))
     assert auc(y, scores) == auc(y, np.exp(scores) * 3.0 + 1.0)
+
+
+def test_auc_midranks_match_scipy_rankdata():
+    from scipy.stats import rankdata
+
+    from graphmine.evaluation import _midranks
+
+    gen = RandomSource(4, 0).generator()
+    for _ in range(200):
+        n = int(gen.integers(1, 50))
+        x = gen.integers(0, int(gen.integers(1, 8)), n) * float(gen.choice([0.1, -3.0]))
+        assert np.array_equal(_midranks(x), rankdata(x, method="average"))
+    assert np.all(np.isnan(_midranks(np.array([0.2, np.nan, 0.1]))))
+
+
+def test_import_does_not_load_scipy_stats():
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import graphmine, sys; assert 'scipy.stats' not in sys.modules"],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
 
 
 def test_auc_rejects_degenerate_inputs():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -206,6 +210,57 @@ def test_fingerprints_enforce_dense_cap():
     for model in (SfModel(dimensions=2), NetLsdModel()):
         with pytest.raises(GraphTooLarge):
             model.fit(corpus)
+
+
+def _dense_normalized_laplacian(g):
+    a = np.zeros((g.node_count, g.node_count))
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1.0
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+    return np.eye(g.node_count) - inv_sqrt[:, None] * a * inv_sqrt[None, :]
+
+
+def test_fingerprints_match_lapack_at_the_dense_cap():
+    g = random_connected(DENSE_SIZE_CAP, 4 * DENSE_SIZE_CAP, 17)
+    corpus = GraphCorpus(graphs=[g])
+    ref = np.linalg.eigvalsh(_dense_normalized_laplacian(g))
+    sf = SfModel().fit(corpus).get_embedding()
+    assert sf.shape == (1, 32)
+    assert np.max(np.abs(sf[0] - ref[:32])) < 1e-9
+    model = NetLsdModel()
+    lsd = model.fit(corpus).get_embedding()
+    expected = np.exp(-np.outer(model.time_points, ref)).sum(axis=1)
+    assert np.max(np.abs(lsd[0] - expected) / expected) < 1e-9
+
+
+_SF_BYTES_SCRIPT = """
+import sys
+from graphmine import GraphCorpus, RandomSource, SfModel, erdos_renyi_gnm
+g = erdos_renyi_gnm(300, 1500, RandomSource(5, 0), connected=True)
+emb = SfModel(dimensions=300).fit(GraphCorpus(graphs=[g])).get_embedding()
+sys.stdout.write(emb.tobytes().hex())
+"""
+
+
+def _sf_in_subprocess(blas_threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    res = subprocess.run(
+        [sys.executable, "-c", _SF_BYTES_SCRIPT], env=env, capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+def test_sf_bytes_repeat_per_blas_thread_count_and_agree_across_counts():
+    # LAPACK gives identical bytes on rerun at a fixed thread count; across
+    # thread counts only rounding-level differences are allowed.
+    rows = {}
+    for threads in (1, 2):
+        first = _sf_in_subprocess(threads)
+        assert _sf_in_subprocess(threads) == first
+        rows[threads] = np.frombuffer(bytes.fromhex(first))
+    assert rows[1].shape == (300,)
+    assert np.max(np.abs(rows[1] - rows[2])) < 1e-12
 
 
 def test_not_fitted_guards():

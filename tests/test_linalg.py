@@ -4,6 +4,7 @@ import pytest
 from graphmine import (
     DENSE_SIZE_CAP,
     MatrixTooLarge,
+    NoConvergence,
     NotSymmetric,
     RandomSource,
     RankTooLarge,
@@ -77,6 +78,27 @@ def test_rejects_asymmetric_and_non_square():
         eig_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(NotSymmetric):
         eig_symmetric(np.zeros((3, 4)))
+
+
+def test_rejects_non_finite_entries():
+    nan = np.full((3, 3), np.nan)
+    inf_diagonal = np.diag([1.0, 1.0, 1.0, np.inf])
+    for a in (nan, inf_diagonal):
+        with pytest.raises(NotSymmetric, match="non-finite"):
+            eig_symmetric(a)
+        with pytest.raises(NotSymmetric, match="non-finite"):
+            eigvals_symmetric(a)
+
+
+def test_lapack_failure_surfaces_as_no_convergence(monkeypatch):
+    def failing_eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(NoConvergence):
+        eigvals_symmetric(np.eye(3))
+    with pytest.raises(NoConvergence):
+        randomized_svd(_sparse_from_dense(np.eye(4)), 2, RandomSource(0, 0))
 
 
 def test_rejects_oversized_matrix():
