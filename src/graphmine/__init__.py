@@ -36,12 +36,13 @@ from .errors import (
 from .graph_core import (
     Graph,
     RandomSource,
-    SparseMatrix,
     ValidationReport,
     build_graph,
     erdos_renyi_gnm,
     normalized_laplacian,
+    require_connected,
     transition_matrix,
+    triangle_matrix,
     triangles_per_node,
     validate_graph,
 )

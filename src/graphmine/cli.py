@@ -46,31 +46,13 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _membership_text(memberships: dict) -> str:
-    import json
-
-    ordered = {str(k): int(memberships[k]) for k in sorted(memberships)}
-    return json.dumps(ordered) + "\n"
-
-
-def _embedding_text(matrix) -> str:
-    return (
-        "\n".join(
-            ",".join(formats.format_float(x) for x in row) for row in matrix
-        )
-        + "\n"
-    )
-
-
 # --- command implementations ---
 
 def cmd_generate(args) -> int:
     g = erdos_renyi_gnm(
         args.nodes, args.edges, RandomSource(args.seed, 0), connected=args.connected
     )
-    lines = [f"# nodes={g.node_count}"]
-    lines.extend(f"{u},{v}" for u, v in g.edges())
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(formats.edge_list_text(g), args.out)
     return 0
 
 
@@ -91,7 +73,7 @@ def cmd_cluster(args) -> int:
     g = formats.read_edge_list(args.graph)
     model = _cluster_model(args)
     model.fit(g)
-    _emit(_membership_text(model.get_memberships()), args.out)
+    _emit(formats.membership_text(model.get_memberships()), args.out)
     return 0
 
 
@@ -130,7 +112,7 @@ def cmd_embed_nodes(args) -> int:
     g = formats.read_edge_list(args.graph)
     model = _node_model(args)
     model.fit(g)
-    _emit(_embedding_text(model.get_embedding()), args.out)
+    _emit(formats.embedding_text(model.get_embedding()), args.out)
     return 0
 
 
@@ -150,7 +132,7 @@ def cmd_embed_graphs(args) -> int:
     corpus = formats.read_corpus_jsonl(args.corpus)
     model = _graph_model(args)
     model.fit(corpus)
-    _emit(_embedding_text(model.get_embedding()), args.out)
+    _emit(formats.embedding_text(model.get_embedding()), args.out)
     return 0
 
 

@@ -15,12 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
-    DisconnectedGraph,
     IncompleteMembership,
     NotFitted,
     RankTooLarge,
 )
-from .graph_core import Graph, RandomSource, validate_graph
+from .graph_core import Graph, RandomSource, require_connected, triangle_matrix
 
 __all__ = [
     "LabelPropagationModel",
@@ -44,11 +43,6 @@ def canonicalize_memberships(assignments: dict) -> dict:
             remap[label] = len(remap)
         out[int(node)] = remap[label]
     return out
-
-
-def _require_connected(g: Graph) -> None:
-    if not validate_graph(g).is_connected:
-        raise DisconnectedGraph("graph is not connected")
 
 
 def modularity(g: Graph, memberships: dict) -> float:
@@ -106,7 +100,7 @@ class LabelPropagationModel:
 
 
 def lp_fit(g: Graph, model: LabelPropagationModel) -> dict:
-    _require_connected(g)
+    require_connected(g)
     n = g.node_count
     gen = RandomSource(model.seed, 0).generator()
     labels = np.arange(n, dtype=np.int64)
@@ -158,28 +152,12 @@ class ScdModel:
         return dict(self._memberships)
 
 
-def _triangle_neighbor_sets(g: Graph) -> list[set]:
-    """For each node v: the neighbors that close at least one triangle with v."""
-    n = g.node_count
-    tri_nbrs: list[set] = [set() for _ in range(n)]
-    for u in range(n):
-        nbrs_u = g.neighbors(u)
-        for v in nbrs_u:
-            if v <= u:
-                continue
-            common = np.intersect1d(nbrs_u, g.neighbors(v), assume_unique=True)
-            if common.size:
-                tri_nbrs[u].add(int(v))
-                tri_nbrs[v].add(u)
-    return tri_nbrs
-
-
 def _wcc(
     v: int,
     members: set,
     nbrs_v: np.ndarray,
     nbr_set_v: set,
-    tri_nbrs_v: set,
+    tri_nbrs_v: list,
     t_total: int,
     adj_sets: list[set],
 ) -> float:
@@ -207,23 +185,14 @@ def _wcc(
 
 
 def scd_fit(g: Graph, model: ScdModel) -> dict:
-    _require_connected(g)
+    require_connected(g)
     n = g.node_count
     deg = g.degrees
-    tri_nbrs = _triangle_neighbor_sets(g)
+    # triangle partners of v: the stored columns of row v
+    tri = triangle_matrix(g)
+    tri_nbrs = [tri.indices[tri.indptr[v]: tri.indptr[v + 1]].tolist() for v in range(n)]
+    t_counts = np.asarray(tri.sum(axis=1)).ravel().astype(np.int64) // 2
     adj_sets = [set(map(int, g.neighbors(v))) for v in range(n)]
-
-    # triangle counts per node from the partner sets
-    t_counts = np.zeros(n, dtype=np.int64)
-    for v in range(n):
-        nbrs = list(tri_nbrs[v])
-        cnt = 0
-        for i, u in enumerate(nbrs):
-            adj_u = adj_sets[u]
-            for w in nbrs[i + 1:]:
-                if w in adj_u:
-                    cnt += 1
-        t_counts[v] = cnt
 
     cc = np.zeros(n)
     mask = deg >= 2
@@ -332,7 +301,7 @@ class SymNmfModel:
 
 def symnmf_fit(g: Graph, model: SymNmfModel):
     """Fit H >= 0 minimizing ||A - H H^T||_F^2; returns (H, memberships)."""
-    _require_connected(g)
+    require_connected(g)
     n = g.node_count
     k = model.dimensions
     if k < 1 or k > n:

@@ -20,6 +20,7 @@ from scipy import sparse as _sp
 
 from .errors import (
     ConnectivityRetryExhausted,
+    DisconnectedGraph,
     DuplicateEdge,
     IsolatedNode,
     OutOfRangeNode,
@@ -29,14 +30,15 @@ from .errors import (
 
 __all__ = [
     "Graph",
-    "SparseMatrix",
     "ValidationReport",
     "RandomSource",
     "build_graph",
     "validate_graph",
+    "require_connected",
     "erdos_renyi_gnm",
     "transition_matrix",
     "normalized_laplacian",
+    "triangle_matrix",
     "triangles_per_node",
 ]
 
@@ -85,60 +87,6 @@ class RandomSource:
 
 
 # ---------------------------------------------------------------------------
-# sparse matrix carrier
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Compressed sparse row matrix of 64-bit floats.
-
-    ``row_offsets`` has length ``rows + 1``; row i's entries live at
-    positions ``row_offsets[i]:row_offsets[i+1]`` of ``column_indices`` /
-    ``values``, with column indices sorted within each row.
-    """
-
-    rows: int
-    cols: int
-    row_offsets: np.ndarray
-    column_indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("row_offsets", "column_indices", "values"):
-            arr = getattr(self, name)
-            arr.setflags(write=False)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.row_offsets[-1])
-
-    @classmethod
-    def from_scipy(cls, m: _sp.spmatrix) -> "SparseMatrix":
-        c = _sp.csr_matrix(m)
-        c.sort_indices()
-        return cls(
-            rows=c.shape[0],
-            cols=c.shape[1],
-            row_offsets=c.indptr.astype(np.int64),
-            column_indices=c.indices.astype(np.int64),
-            values=c.data.astype(np.float64),
-        )
-
-    def to_scipy(self) -> _sp.csr_matrix:
-        return _sp.csr_matrix(
-            (self.values, self.column_indices, self.row_offsets),
-            shape=(self.rows, self.cols),
-        )
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
-
-
-# ---------------------------------------------------------------------------
 # graph type
 # ---------------------------------------------------------------------------
 
@@ -170,11 +118,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return int(self.offsets[v + 1] - self.offsets[v])
-
-    @property
-    def adjacency(self) -> list[np.ndarray]:
-        """Per-node sorted neighbor lists."""
-        return [self.neighbors(v) for v in range(self.node_count)]
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
@@ -284,6 +227,15 @@ def validate_graph(g: Graph) -> ValidationReport:
     )
 
 
+def require_connected(g: Graph, name: str = "graph") -> None:
+    """Raise :class:`DisconnectedGraph` unless ``g`` is connected.
+
+    ``name`` leads the error message, e.g. ``"graph 3"`` for a corpus member.
+    """
+    if not validate_graph(g).is_connected:
+        raise DisconnectedGraph(f"{name} is not connected")
+
+
 def erdos_renyi_gnm(
     n: int, m: int, rng: RandomSource, connected: bool = False
 ) -> Graph:
@@ -332,20 +284,15 @@ def _require_no_isolated(g: Graph) -> np.ndarray:
     return deg
 
 
-def transition_matrix(g: Graph) -> SparseMatrix:
+def transition_matrix(g: Graph) -> _sp.csr_matrix:
     """Row-stochastic random-walk matrix: adjacency with rows divided by degree."""
     deg = _require_no_isolated(g)
     values = 1.0 / np.repeat(deg, g.degrees)
-    return SparseMatrix(
-        rows=g.node_count,
-        cols=g.node_count,
-        row_offsets=g.offsets.copy(),
-        column_indices=g.targets.copy(),
-        values=values,
-    )
+    n = g.node_count
+    return _sp.csr_matrix((values, g.targets.copy(), g.offsets.copy()), shape=(n, n))
 
 
-def normalized_laplacian(g: Graph) -> SparseMatrix:
+def normalized_laplacian(g: Graph) -> _sp.csr_matrix:
     """Symmetric normalized Laplacian; eigenvalues lie in [0, 2].
 
     Entry (u,v) for an edge is -1/sqrt(deg(u)*deg(v)); the diagonal is 1.
@@ -356,28 +303,25 @@ def normalized_laplacian(g: Graph) -> SparseMatrix:
     rows_rep = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
     off_values = -inv_sqrt[rows_rep] * inv_sqrt[g.targets]
     off = _sp.csr_matrix((off_values, g.targets, g.offsets), shape=(n, n))
-    lap = _sp.eye(n, format="csr") + off
-    return SparseMatrix.from_scipy(lap)
+    return _sp.eye(n, format="csr") + off
+
+
+def triangle_matrix(g: Graph) -> _sp.csr_matrix:
+    """Entry (u,v) is the number of triangles through edge (u,v).
+
+    Computed as ``(A @ A) * A`` elementwise, which stores only the edges
+    that close at least one triangle: the stored columns of row v are the
+    triangle partners of v.
+    """
+    a = g.adjacency_scipy()
+    return (a @ a).multiply(a)
 
 
 def triangles_per_node(g: Graph) -> list[int]:
     """Number of triangles incident to each node.
 
-    Counts, for each edge (u,v), the common neighbors of u and v via sorted
-    adjacency intersection; each triangle is incident to exactly 3 nodes.
+    Row v of :func:`triangle_matrix` counts every triangle at v twice, once
+    through each of its two edges at v.
     """
-    n = g.node_count
-    counts = np.zeros(n, dtype=np.int64)
-    for u in range(n):
-        nbrs_u = g.neighbors(u)
-        for v in nbrs_u:
-            if v <= u:
-                continue
-            common = np.intersect1d(nbrs_u, g.neighbors(v), assume_unique=True)
-            # every common neighbor w closes triangle {u, v, w}
-            for w in common:
-                if w > v:
-                    counts[u] += 1
-                    counts[v] += 1
-                    counts[w] += 1
-    return counts.tolist()
+    rows = np.asarray(triangle_matrix(g).sum(axis=1)).ravel()
+    return (rows.astype(np.int64) // 2).tolist()

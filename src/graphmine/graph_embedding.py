@@ -17,13 +17,12 @@ import numpy as np
 from scipy import sparse as _sp
 
 from .errors import (
-    DisconnectedGraph,
     EmptyCorpus,
     GraphTooLarge,
     IncompleteFeatureMap,
     NotFitted,
 )
-from .graph_core import Graph, RandomSource, SparseMatrix, validate_graph
+from .graph_core import Graph, RandomSource, normalized_laplacian, require_connected
 from .linalg import DENSE_SIZE_CAP, eigvals_symmetric, randomized_svd
 
 __all__ = [
@@ -114,8 +113,7 @@ def _require_corpus(corpus: GraphCorpus) -> None:
     if len(corpus) == 0:
         raise EmptyCorpus("corpus contains no graphs")
     for i, g in enumerate(corpus.graphs):
-        if not validate_graph(g).is_connected:
-            raise DisconnectedGraph(f"graph {i} is not connected")
+        require_connected(g, f"graph {i}")
 
 
 def _require_dense_cap(corpus: GraphCorpus) -> None:
@@ -124,16 +122,6 @@ def _require_dense_cap(corpus: GraphCorpus) -> None:
             raise GraphTooLarge(
                 f"graph {i} has {g.node_count} nodes, cap is {DENSE_SIZE_CAP}"
             )
-
-
-def _normalized_laplacian_dense(g: Graph) -> np.ndarray:
-    n = g.node_count
-    deg = g.degrees.astype(np.float64)
-    a = g.adjacency_scipy().toarray()
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    lap = -(inv_sqrt[:, None] * a) * inv_sqrt[None, :]
-    np.fill_diagonal(lap, 1.0)
-    return lap
 
 
 class _CorpusEstimator:
@@ -164,7 +152,7 @@ def sf_fit(corpus: GraphCorpus, model: SfModel) -> np.ndarray:
     d = model.dimensions
     rows = np.zeros((len(corpus), d))
     for i, g in enumerate(corpus.graphs):
-        vals = eigvals_symmetric(_normalized_laplacian_dense(g))
+        vals = eigvals_symmetric(normalized_laplacian(g).toarray())
         take = min(d, len(vals))
         rows[i, :take] = vals[:take]
     model._embedding = rows
@@ -192,7 +180,7 @@ def netlsd_fit(corpus: GraphCorpus, model: NetLsdModel) -> np.ndarray:
     t = model.time_points
     rows = np.zeros((len(corpus), len(t)))
     for i, g in enumerate(corpus.graphs):
-        vals = eigvals_symmetric(_normalized_laplacian_dense(g))
+        vals = eigvals_symmetric(normalized_laplacian(g).toarray())
         rows[i] = np.exp(-np.outer(t, vals)).sum(axis=1)
     model._embedding = rows
     return rows.copy()
@@ -244,9 +232,7 @@ def wl_svd_fit(corpus: GraphCorpus, model: WlSvdModel) -> np.ndarray:
     weighted = tf.multiply(idf[None, :]).tocsr()
 
     k = min(model.dimensions, n_graphs, len(vocabulary))
-    svd = randomized_svd(
-        SparseMatrix.from_scipy(weighted), k, RandomSource(model.seed, 0)
-    )
+    svd = randomized_svd(weighted, k, RandomSource(model.seed, 0))
     embedding = np.zeros((n_graphs, model.dimensions))
     embedding[:, :k] = svd.U * svd.singular_values
     model._embedding = embedding

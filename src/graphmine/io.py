@@ -26,11 +26,19 @@ __all__ = [
     "write_labels_csv",
     "read_corpus_jsonl",
     "format_float",
+    "edge_list_text",
+    "membership_text",
+    "embedding_text",
 ]
 
 
 def format_float(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _write(text: str, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 # --- edge lists ---
@@ -77,41 +85,56 @@ def read_edge_list(path: str) -> Graph:
     return build_graph(declared, edges)
 
 
-def write_edge_list(g: Graph, path: str) -> None:
+def edge_list_text(g: Graph) -> str:
+    """``# nodes=N`` header, then one ``u,v`` line per edge with u < v."""
     lines = [f"# nodes={g.node_count}"]
     lines.extend(f"{u},{v}" for u, v in g.edges())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_edge_list(g: Graph, path: str) -> None:
+    _write(edge_list_text(g), path)
 
 
 # --- memberships ---
 
 def read_membership(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputContractError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
     try:
         return {int(k): int(v) for k, v in raw.items()}
     except (AttributeError, ValueError, TypeError):
         raise InputContractError(f"{path}: expected an object of node->cluster ids")
 
 
-def write_membership(memberships: dict, path: str) -> None:
+def membership_text(memberships: dict) -> str:
+    """One JSON object of node-id strings to cluster ids, keys ascending."""
     ordered = {str(k): int(memberships[k]) for k in sorted(memberships)}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(ordered) + "\n")
+    return json.dumps(ordered) + "\n"
+
+
+def write_membership(memberships: dict, path: str) -> None:
+    _write(membership_text(memberships), path)
 
 
 # --- embeddings and labels ---
 
 def read_embedding_csv(path: str) -> np.ndarray:
-    rows = []
+    """Rows of comma-separated finite floats, all of one width."""
+    rows, linenos = [], []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
-            vals = [float(tok) for tok in line.split(",")]
+            try:
+                vals = [float(tok) for tok in line.split(",")]
+            except ValueError:
+                raise InputContractError(f"{path}:{lineno}: non-numeric cell: {line}")
             if width is None:
                 width = len(vals)
             elif len(vals) != width:
@@ -119,16 +142,25 @@ def read_embedding_csv(path: str) -> np.ndarray:
                     f"{path}:{lineno}: ragged row of width {len(vals)} != {width}"
                 )
             rows.append(vals)
+            linenos.append(lineno)
     if not rows:
         raise InputContractError(f"{path}: empty embedding file")
-    return np.array(rows, dtype=np.float64)
+    matrix = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        lineno = linenos[int(np.argmin(finite))]
+        raise InputContractError(f"{path}:{lineno}: non-finite value")
+    return matrix
+
+
+def embedding_text(matrix: np.ndarray) -> str:
+    """One comma-separated line of 17-significant-digit floats per row."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    return "".join(",".join(format_float(x) for x in row) + "\n" for row in matrix)
 
 
 def write_embedding_csv(matrix: np.ndarray, path: str) -> None:
-    matrix = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in matrix:
-            fh.write(",".join(format_float(x) for x in row) + "\n")
+    _write(embedding_text(matrix), path)
 
 
 def read_labels_csv(path: str) -> np.ndarray:
@@ -148,8 +180,7 @@ def read_labels_csv(path: str) -> np.ndarray:
 
 
 def write_labels_csv(labels, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(str(int(x)) for x in labels) + "\n")
+    _write("\n".join(str(int(x)) for x in labels) + "\n", path)
 
 
 # --- graph corpora ---
@@ -183,12 +214,20 @@ def read_corpus_jsonl(path: str) -> GraphCorpus:
             fmap = obj.get("features")
             if fmap is not None:
                 any_features = True
-                fmap = {int(k): str(v) for k, v in fmap.items()}
+                try:
+                    fmap = {int(k): str(v) for k, v in fmap.items()}
+                except (AttributeError, ValueError):
+                    raise InputContractError(
+                        f"{path}:{lineno}: 'features' must map integer node ids to strings"
+                    )
             features.append(fmap)
             label = obj.get("label")
             if label is not None:
                 any_labels = True
-                label = int(label)
+                try:
+                    label = int(label)
+                except (TypeError, ValueError):
+                    raise InputContractError(f"{path}:{lineno}: 'label' must be an integer")
             labels.append(label)
     if not graphs:
         raise EmptyCorpus(f"{path}: no corpus lines")

@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse as _sp
 
 from .errors import MatrixTooLarge, NoConvergence, NotSymmetric, RankTooLarge
-from .graph_core import RandomSource, SparseMatrix
+from .graph_core import RandomSource
 
 __all__ = [
     "EigenDecomposition",
@@ -91,19 +92,22 @@ def eigvals_symmetric(a: np.ndarray) -> np.ndarray:
     return eig_symmetric(a).eigenvalues
 
 
-def randomized_svd(a: SparseMatrix, k: int, rng: RandomSource) -> SvdResult:
-    """Truncated SVD via a Gaussian sketch.
+def randomized_svd(a: _sp.spmatrix, k: int, rng: RandomSource) -> SvdResult:
+    """Truncated SVD of a scipy sparse matrix via a Gaussian sketch.
 
     Oversampling 10 and 4 power iterations (with QR re-orthonormalization
     each step) are fixed.  The small projected Gram matrix is diagonalized by
     LAPACK's symmetric eigensolver, so the result is deterministic given
     ``rng`` (and the BLAS thread count).  Signs are canonicalized so the
-    largest-magnitude entry of each left vector is positive.
+    largest-magnitude entry of each left vector is positive.  The products
+    run on a float64 CSR copy with sorted column indices; ``a`` itself is
+    never modified.
     """
     rows, cols = a.shape
     if k < 1 or k > min(rows, cols):
         raise RankTooLarge(f"rank {k} not in 1..{min(rows, cols)}")
-    m = a.to_scipy()
+    m = _sp.csr_matrix(a, dtype=np.float64, copy=True)
+    m.sort_indices()
     sketch = min(k + 10, min(rows, cols))
     gen = rng.generator()
     omega = gen.standard_normal((cols, sketch))

@@ -21,14 +21,13 @@ import numpy as np
 from scipy import sparse as _sp
 
 from .errors import (
-    DisconnectedGraph,
     EmptyCorpus,
     GraphTooLarge,
     IsolatedNode,
     NotFitted,
     RankTooLarge,
 )
-from .graph_core import Graph, RandomSource, SparseMatrix, validate_graph
+from .graph_core import Graph, RandomSource, require_connected, transition_matrix
 from .linalg import randomized_svd
 
 __all__ = [
@@ -78,14 +77,6 @@ class SkipGramParams:
     seed: int = 42
 
 
-def _require_connected(g: Graph) -> None:
-    if not validate_graph(g).is_connected:
-        raise DisconnectedGraph("graph is not connected")
-    if g.edge_count == 0:
-        # a single isolated node is "connected" but walkless and degreeless
-        raise IsolatedNode("graph has no edges")
-
-
 # ---------------------------------------------------------------------------
 # walk generation
 # ---------------------------------------------------------------------------
@@ -100,7 +91,10 @@ def generate_walks(
     any execution order (or parallel fan-out) reproduces the same corpus.
     All walks advance together: one vectorized neighbor lookup per step.
     """
-    _require_connected(g)
+    require_connected(g)
+    if g.edge_count == 0:
+        # a single isolated node is "connected" but walkless
+        raise IsolatedNode("graph has no edges")
     n = g.node_count
     total = walk_number * n
     steps = walk_length - 1
@@ -361,7 +355,6 @@ class DeepWalkModel(_EmbeddingEstimator):
 
 
 def deepwalk_fit(g: Graph, model: DeepWalkModel) -> np.ndarray:
-    _require_connected(g)
     corpus = generate_walks(
         g, model.walk_number, model.walk_length, RandomSource(model.seed, 0)
     )
@@ -409,7 +402,6 @@ class WalkletsModel(_EmbeddingEstimator):
 
 
 def walklets_fit(g: Graph, model: WalkletsModel) -> np.ndarray:
-    _require_connected(g)
     corpus = generate_walks(
         g, model.walk_number, model.walk_length, RandomSource(model.seed, 0)
     )
@@ -470,7 +462,8 @@ class NetMfModel(_EmbeddingEstimator):
 
 
 def netmf_fit(g: Graph, model: NetMfModel) -> np.ndarray:
-    _require_connected(g)
+    require_connected(g)
+    p = transition_matrix(g)  # an edgeless graph fails here, as in the walk models
     n = g.node_count
     if n > NETMF_NODE_CAP:
         raise GraphTooLarge(f"netmf is capped at {NETMF_NODE_CAP} nodes, got {n}")
@@ -479,9 +472,7 @@ def netmf_fit(g: Graph, model: NetMfModel) -> np.ndarray:
     deg = g.degrees.astype(np.float64)
     vol = float(deg.sum())
     d_inv = _sp.diags(1.0 / deg)
-    p = d_inv @ g.adjacency_scipy()
-    power = p.copy()
-    acc = p.copy()
+    power = acc = p
     for _ in range(2, model.order + 1):
         power = power @ p
         acc = acc + power
@@ -491,9 +482,7 @@ def netmf_fit(g: Graph, model: NetMfModel) -> np.ndarray:
     # so sparsity is preserved without approximation
     m.data = np.log(np.maximum(m.data, 1.0))
     m.eliminate_zeros()
-    svd = randomized_svd(
-        SparseMatrix.from_scipy(m), model.dimensions, RandomSource(model.seed, 0)
-    )
+    svd = randomized_svd(m, model.dimensions, RandomSource(model.seed, 0))
     embedding = svd.U * np.sqrt(svd.singular_values)
     model._embedding = embedding
     return embedding.copy()

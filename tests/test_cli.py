@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 
 from graphmine import (
+    DeepWalkModel,
+    LabelPropagationModel,
+    RandomSource,
+    erdos_renyi_gnm,
     modularity,
     read_edge_list,
     read_membership,
     write_edge_list,
+    write_embedding_csv,
     write_labels_csv,
+    write_membership,
 )
 from builders import random_connected, triangle_pair, two_cliques
 
@@ -173,6 +179,44 @@ def test_exit_code_separates_contract_families(tmp_path):
 
     res = run_cli("generate", "--nodes", 5, "--edges", 2, "--connected")
     assert res.returncode == 3  # connectivity retries exhausted
+
+
+def test_stdout_matches_the_library_writers(graph_file, tmp_path):
+    path = tmp_path / "expected"
+    res = run_cli("generate", "--nodes", 12, "--edges", 20, "--seed", 4)
+    write_edge_list(erdos_renyi_gnm(12, 20, RandomSource(4, 0)), str(path))
+    assert res.stdout == path.read_text()
+
+    g = read_edge_list(graph_file)
+    res = run_cli("cluster", "--algo", "label-propagation", "--graph", graph_file, "--seed", 3)
+    write_membership(LabelPropagationModel(seed=3).fit(g).get_memberships(), str(path))
+    assert res.stdout == path.read_text()
+
+    res = run_cli("embed-nodes", "--algo", "deepwalk", "--graph", graph_file,
+                  "--walk-number", 2, "--walk-length", 6, "--dimensions", 3)
+    model = DeepWalkModel(walk_number=2, walk_length=6, dimensions=3).fit(g)
+    write_embedding_csv(model.get_embedding(), str(path))
+    assert res.stdout == path.read_text()
+
+
+def test_malformed_files_exit_2_without_traceback(tmp_path):
+    members = tmp_path / "m.json"
+    members.write_text('{"0": 0,')
+    embedding = tmp_path / "e.csv"
+    embedding.write_text("0.5,nan\n1.5,2.5\n")
+    labels = tmp_path / "y.csv"
+    labels.write_text("0\n1\n")
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text('{"edges": [[0, 1]], "features": [1, 2]}\n')
+    for args in (
+        ("eval", "nmi", "--a", members, "--b", members),
+        ("eval", "classify", "--embedding", embedding, "--labels", labels),
+        ("embed-graphs", "--algo", "wl-svd", "--corpus", corpus),
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 2, args
+        assert "Traceback" not in res.stderr
+        assert "error:" in res.stderr
 
 
 def test_threads_flag_is_accepted(tmp_path):

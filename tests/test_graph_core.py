@@ -8,12 +8,12 @@ from graphmine import (
     OutOfRangeNode,
     RandomSource,
     SelfLoop,
-    SparseMatrix,
     TooManyEdges,
     build_graph,
     erdos_renyi_gnm,
     normalized_laplacian,
     transition_matrix,
+    triangle_matrix,
     triangles_per_node,
     validate_graph,
 )
@@ -164,7 +164,7 @@ def test_gnm_rejects_bad_counts():
 
 def test_transition_matrix_rows_sum_to_one():
     g = erdos_renyi_gnm(10, 10, RandomSource(1, 0), connected=True)
-    t = transition_matrix(g).to_dense()
+    t = transition_matrix(g).toarray()
     assert np.allclose(t.sum(axis=1), 1.0)
     assert np.all(t >= 0)
 
@@ -180,12 +180,12 @@ def test_normalized_laplacian_matches_dense_formula():
     a = g.adjacency_scipy().toarray()
     d = a.sum(axis=1)
     expected = np.eye(12) - a / np.sqrt(np.outer(d, d))
-    got = normalized_laplacian(g).to_dense()
+    got = normalized_laplacian(g).toarray()
     assert np.allclose(got, expected, atol=1e-14)
 
 
 def test_normalized_laplacian_path_2():
-    got = normalized_laplacian(path_graph(2)).to_dense()
+    got = normalized_laplacian(path_graph(2)).toarray()
     assert np.allclose(got, [[1.0, -1.0], [-1.0, 1.0]])
 
 
@@ -204,19 +204,28 @@ def test_triangle_counts_known_graphs():
     assert triangles_per_node(triangle_pair()) == [1, 1, 1, 1, 1, 1]
 
 
-# --- sparse matrix carrier ---
-
-def test_sparse_matrix_scipy_roundtrip():
-    g = triangle_pair()
-    m = SparseMatrix.from_scipy(g.adjacency_scipy())
-    assert m.shape == (6, 6)
-    assert m.nnz == 14
-    assert np.array_equal(m.to_dense(), g.adjacency_scipy().toarray())
-    back = m.to_scipy()
-    assert (back != g.adjacency_scipy()).nnz == 0
+def _hub_heavy(n, seed):
+    """G(n, 2n) plus spokes from node 0 to every third node."""
+    g = erdos_renyi_gnm(n, 2 * n, RandomSource(seed, 2))
+    return build_graph(n, set(g.edges()) | {(0, v) for v in range(3, n, 3)})
 
 
-def test_sparse_matrix_is_read_only():
-    m = SparseMatrix.from_scipy(path_graph(3).adjacency_scipy())
-    with pytest.raises(ValueError):
-        m.values[0] = 5.0
+def test_triangle_matrix_matches_brute_force_enumeration():
+    graphs = [erdos_renyi_gnm(8 + s, 3 * (8 + s), RandomSource(s, 1)) for s in range(10)]
+    graphs += [_hub_heavy(12 + 3 * s, s) for s in range(10)]
+    for g in graphs:
+        a = g.adjacency_scipy().toarray()
+        n = g.node_count
+        partners = [set() for _ in range(n)]
+        counts = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                for w in range(v + 1, n):
+                    if a[u, v] and a[v, w] and a[u, w]:
+                        for x, y, z in ((u, v, w), (v, u, w), (w, u, v)):
+                            partners[x] |= {y, z}
+                            counts[x] += 1
+        t = triangle_matrix(g)
+        got = [set(t.indices[t.indptr[v]: t.indptr[v + 1]].tolist()) for v in range(n)]
+        assert got == partners
+        assert triangles_per_node(g) == counts

@@ -12,6 +12,7 @@ from graphmine import (
     GraphCorpus,
     GraphTooLarge,
     IncompleteFeatureMap,
+    IsolatedNode,
     NetLsdModel,
     NotFitted,
     SfModel,
@@ -202,6 +203,13 @@ def test_disconnected_member_is_rejected_with_its_index():
     corpus = GraphCorpus(graphs=[complete_graph(3), bad])
     with pytest.raises(DisconnectedGraph, match="graph 1"):
         SfModel(dimensions=2).fit(corpus)
+
+
+def test_fingerprints_reject_a_single_node_graph():
+    corpus = GraphCorpus(graphs=[complete_graph(3), build_graph(1, [])])
+    for model in (SfModel(dimensions=2), NetLsdModel()):
+        with pytest.raises(IsolatedNode):
+            model.fit(corpus)
 
 
 def test_fingerprints_enforce_dense_cap():

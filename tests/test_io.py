@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,28 @@ def test_corpus_rejects_malformed_lines(tmp_path):
     path.write_text("")
     with pytest.raises(EmptyCorpus):
         read_corpus_jsonl(str(path))
+
+
+@pytest.mark.parametrize(
+    "reader, name, text, line",
+    [
+        (read_membership, "m.json", '{"0": 0,\n "1": }\n', 2),
+        (read_embedding_csv, "e.csv", "1.0,2.0\n3.0,abc\n", 2),
+        (read_embedding_csv, "e.csv", "1.0,2.0\n\nnan,1.0\n", 3),
+        (read_embedding_csv, "e.csv", "1.0,-inf\n", 1),
+        (read_corpus_jsonl, "c.jsonl", '{"edges": [[0, 1]], "features": ["a", "b"]}\n', 1),
+        (read_corpus_jsonl, "c.jsonl", '{"edges": [[0, 1]]}\n{"edges": [[0, 1]], "features": {"x": "a"}}\n', 2),
+        (read_corpus_jsonl, "c.jsonl", '{"edges": [[0, 1]], "label": "one"}\n', 1),
+        (read_corpus_jsonl, "c.jsonl", '{"edges": [[0, 1]], "label": [1]}\n', 1),
+    ],
+    ids=["membership-json", "embedding-text", "embedding-nan", "embedding-inf",
+         "features-list", "features-key", "label-text", "label-list"],
+)
+def test_readers_raise_typed_errors_with_line_context(tmp_path, reader, name, text, line):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(InputContractError, match=re.escape(f"{name}:{line}: ")):
+        reader(str(path))
 
 
 def test_corpus_labels_must_be_all_or_none(tmp_path):

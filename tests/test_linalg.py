@@ -8,7 +8,6 @@ from graphmine import (
     NotSymmetric,
     RandomSource,
     RankTooLarge,
-    SparseMatrix,
     eig_symmetric,
     eigvals_symmetric,
     randomized_svd,
@@ -24,7 +23,7 @@ def _random_symmetric(n, seed):
 def _sparse_from_dense(a):
     from scipy import sparse
 
-    return SparseMatrix.from_scipy(sparse.csr_matrix(a))
+    return sparse.csr_matrix(a)
 
 
 # --- symmetric eigendecomposition ---
@@ -108,8 +107,8 @@ def test_rejects_oversized_matrix():
 
 
 def test_extreme_scales_converge():
-    """Stopping rule is 1e-12 * max(1, norm): large inputs converge with
-    relative accuracy, sub-floor inputs converge trivially within the floor."""
+    """Large inputs keep relative accuracy; tiny inputs stay within an
+    absolute 1e-12 of the reference."""
     big = _random_symmetric(8, 11) * 1e12
     got = eigvals_symmetric(big)
     ref = np.linalg.eigvalsh(big)
@@ -184,6 +183,29 @@ def test_svd_sign_convention():
     res = randomized_svd(_sparse_from_dense(dense), 4, RandomSource(1, 0))
     peak = np.argmax(np.abs(res.U), axis=0)
     assert np.all(res.U[peak, np.arange(4)] > 0)
+
+
+def test_svd_leaves_the_callers_matrix_unmodified():
+    from scipy import sparse
+
+    gen = RandomSource(8, 0).generator()
+    dense = gen.standard_normal((12, 15)) * (gen.random((12, 15)) < 0.4)
+    ordered = sparse.csr_matrix(dense)
+    # same matrix with every row's entries stored in reverse column order
+    rows = [slice(ordered.indptr[i], ordered.indptr[i + 1]) for i in range(12)]
+    shuffled = sparse.csr_matrix(
+        (np.concatenate([ordered.data[r][::-1] for r in rows]),
+         np.concatenate([ordered.indices[r][::-1] for r in rows]),
+         ordered.indptr.copy()),
+        shape=(12, 15),
+    )
+    indices, data = shuffled.indices.copy(), shuffled.data.copy()
+    got = randomized_svd(shuffled, 4, RandomSource(2, 0))
+    assert np.array_equal(shuffled.indices, indices)
+    assert np.array_equal(shuffled.data, data)
+    want = randomized_svd(ordered, 4, RandomSource(2, 0))
+    assert np.array_equal(got.U, want.U)
+    assert np.array_equal(got.singular_values, want.singular_values)
 
 
 def test_svd_rejects_bad_rank():
