@@ -1,11 +1,12 @@
 """Graph mining at desk scale: community detection, node embedding,
 whole-graph embedding, evaluation, and a reproducible CLI.
 
-All estimators follow one lifecycle: construct with inspectable default
-hyperparameters, ``fit``, then read results with ``get_embedding`` /
-``get_memberships``.  All randomness flows through
-:class:`~graphmine.graph_core.RandomSource`, so every result is a pure
-function of its inputs and seeds.
+All estimators share one base class,
+:class:`~graphmine.graph_core.Estimator`, and one lifecycle: construct with
+inspectable default hyperparameters, ``fit``, which returns the estimator,
+then read results with ``get_embedding`` / ``get_memberships``.  All
+randomness flows through :class:`~graphmine.graph_core.RandomSource`, so
+every result is a pure function of its inputs and seeds.
 """
 
 from .errors import (
@@ -34,6 +35,7 @@ from .errors import (
     TooManyEdges,
 )
 from .graph_core import (
+    Estimator,
     Graph,
     RandomSource,
     ValidationReport,
@@ -59,10 +61,7 @@ from .community import (
     ScdModel,
     SymNmfModel,
     canonicalize_memberships,
-    lp_fit,
     modularity,
-    scd_fit,
-    symnmf_fit,
 )
 from .node_embedding import (
     NETMF_NODE_CAP,
@@ -71,13 +70,10 @@ from .node_embedding import (
     SkipGramParams,
     WalkCorpus,
     WalkletsModel,
-    deepwalk_fit,
     generate_walks,
-    netmf_fit,
     sgns_pair_gradients,
     sgns_pair_loss,
     sgns_train,
-    walklets_fit,
 )
 from .graph_embedding import (
     GraphCorpus,
@@ -85,10 +81,7 @@ from .graph_embedding import (
     SfModel,
     WlFeatureSet,
     WlSvdModel,
-    netlsd_fit,
-    sf_fit,
     wl_features,
-    wl_svd_fit,
 )
 from .evaluation import (
     SoftmaxModel,

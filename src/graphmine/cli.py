@@ -13,6 +13,7 @@ across reruns, except for the measured wall-clock column of ``bench``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 
@@ -23,7 +24,13 @@ from .community import (
     SymNmfModel,
     modularity,
 )
-from .errors import GraphContractError, GraphMineError
+from .errors import (
+    DimensionMismatch,
+    GraphContractError,
+    GraphMineError,
+    InputContractError,
+    LengthMismatch,
+)
 from .evaluation import (
     auc,
     nmi,
@@ -36,6 +43,41 @@ from .graph_embedding import NetLsdModel, SfModel, WlSvdModel
 from .node_embedding import DeepWalkModel, NetMfModel, WalkletsModel
 
 __all__ = ["main"]
+
+# algorithm name -> estimator class, per command (``bench`` reads the first two)
+_MODELS = {
+    "cluster": {
+        "label-propagation": LabelPropagationModel,
+        "scd": ScdModel,
+        "symnmf": SymNmfModel,
+    },
+    "embed-nodes": {
+        "deepwalk": DeepWalkModel,
+        "walklets": WalkletsModel,
+        "netmf": NetMfModel,
+    },
+    "embed-graphs": {"sf": SfModel, "netlsd": NetLsdModel, "wl-svd": WlSvdModel},
+}
+
+
+def _model(task: str, args):
+    """Build the estimator for ``args.algo`` from the flags named by its
+    constructor's parameters.  Hyperparameter flags the user did not pass
+    are absent from ``args``, so the estimator's own defaults apply."""
+    cls = _MODELS[task][args.algo]
+    given = vars(args)
+    return cls(**{
+        name: given[name] for name in inspect.signature(cls).parameters if name in given
+    })
+
+
+def _defaults(task: str) -> str:
+    """Help epilog listing each algorithm's defaults, read from its estimator."""
+    parts = []
+    for algo, cls in _MODELS[task].items():
+        params = inspect.signature(cls).parameters.values()
+        parts.append(f"{algo}: " + (", ".join(f"{p.name}={p.default}" for p in params) or "none"))
+    return "defaults: " + "; ".join(parts)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -56,82 +98,23 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _cluster_model(args):
-    if args.algo == "label-propagation":
-        return LabelPropagationModel(seed=args.seed, max_iterations=args.max_iterations)
-    if args.algo == "scd":
-        return ScdModel(refinement_rounds=args.refinement_rounds)
-    return SymNmfModel(
-        dimensions=args.dimensions if args.dimensions is not None else 32,
-        iterations=args.iterations,
-        tolerance=args.tolerance,
-        seed=args.seed,
-    )
-
-
 def cmd_cluster(args) -> int:
     g = formats.read_edge_list(args.graph)
-    model = _cluster_model(args)
-    model.fit(g)
+    model = _model("cluster", args).fit(g)
     _emit(formats.membership_text(model.get_memberships()), args.out)
     return 0
 
 
-def _node_model(args):
-    if args.algo == "deepwalk":
-        return DeepWalkModel(
-            walk_number=args.walk_number,
-            walk_length=args.walk_length,
-            dimensions=args.dimensions if args.dimensions is not None else 128,
-            window_size=args.window_size if args.window_size is not None else 5,
-            negative_samples=args.negative_samples,
-            epochs=args.epochs,
-            learning_rate=args.learning_rate,
-            seed=args.seed,
-        )
-    if args.algo == "walklets":
-        return WalkletsModel(
-            walk_number=args.walk_number,
-            walk_length=args.walk_length,
-            dimensions=args.dimensions if args.dimensions is not None else 32,
-            window_size=args.window_size if args.window_size is not None else 4,
-            negative_samples=args.negative_samples,
-            epochs=args.epochs,
-            learning_rate=args.learning_rate,
-            seed=args.seed,
-        )
-    return NetMfModel(
-        dimensions=args.dimensions if args.dimensions is not None else 32,
-        order=args.order,
-        negatives=args.negatives,
-        seed=args.seed,
-    )
-
-
 def cmd_embed_nodes(args) -> int:
     g = formats.read_edge_list(args.graph)
-    model = _node_model(args)
-    model.fit(g)
+    model = _model("embed-nodes", args).fit(g)
     _emit(formats.embedding_text(model.get_embedding()), args.out)
     return 0
 
 
-def _graph_model(args):
-    if args.algo == "sf":
-        return SfModel(dimensions=args.dimensions if args.dimensions is not None else 32)
-    if args.algo == "netlsd":
-        return NetLsdModel()
-    return WlSvdModel(
-        wl_iterations=args.wl_iterations,
-        dimensions=args.dimensions if args.dimensions is not None else 128,
-        seed=args.seed,
-    )
-
-
 def cmd_embed_graphs(args) -> int:
     corpus = formats.read_corpus_jsonl(args.corpus)
-    model = _graph_model(args)
-    model.fit(corpus)
+    model = _model("embed-graphs", args).fit(corpus)
     _emit(formats.embedding_text(model.get_embedding()), args.out)
     return 0
 
@@ -141,8 +124,6 @@ def cmd_eval(args) -> int:
         a = formats.read_membership(args.a)
         b = formats.read_membership(args.b)
         if set(a) != set(b):
-            from .errors import LengthMismatch
-
             raise LengthMismatch("membership files cover different node sets")
         keys = sorted(a)
         value = nmi([a[k] for k in keys], [b[k] for k in keys])
@@ -154,8 +135,6 @@ def cmd_eval(args) -> int:
         x = formats.read_embedding_csv(args.embedding)
         y = formats.read_labels_csv(args.labels)
         if x.shape[0] != y.shape[0]:
-            from .errors import DimensionMismatch
-
             raise DimensionMismatch(
                 f"{x.shape[0]} embedding rows vs {y.shape[0]} labels"
             )
@@ -166,33 +145,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_BENCH_CLUSTER = {
-    "label-propagation": lambda seed: LabelPropagationModel(seed=seed),
-    "scd": lambda seed: ScdModel(),
-    "symnmf": lambda seed: SymNmfModel(seed=seed),
-}
-_BENCH_EMBED = {
-    "deepwalk": lambda seed: DeepWalkModel(seed=seed),
-    "walklets": lambda seed: WalkletsModel(seed=seed),
-    "netmf": lambda seed: NetMfModel(seed=seed),
-}
-
-
 def cmd_bench(args) -> int:
-    from .errors import InputContractError
-
     sizes = _parse_int_list(args.sizes, "sizes")
     if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
         raise InputContractError("sizes must be strictly ascending")
     degrees = _parse_int_list(args.degree, "degree")
     if args.repeats < 1:
         raise InputContractError("repeats must be >= 1")
-    table = _BENCH_CLUSTER if args.task == "cluster" else _BENCH_EMBED
-    if args.algo not in table:
+    if args.algo not in _MODELS[args.task]:
         raise InputContractError(
             f"algo {args.algo!r} not valid for task {args.task!r}"
         )
-    make = table[args.algo]
     rows = ["algo,n,m,repeat,seconds"]
     config = 0
     for degree in degrees:
@@ -208,7 +171,7 @@ def cmd_bench(args) -> int:
             config += 1
             times = []
             for rep in range(args.repeats):
-                model = make(args.seed)
+                model = _model(args.task, args)
                 start = time.perf_counter()
                 model.fit(g)
                 elapsed = time.perf_counter() - start
@@ -223,8 +186,6 @@ def cmd_bench(args) -> int:
 
 
 def _parse_int_list(text: str, name: str) -> list:
-    from .errors import InputContractError
-
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
@@ -260,51 +221,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("cluster", help="detect communities, write membership JSON")
-    p.add_argument("--algo", required=True,
-                   choices=["label-propagation", "scd", "symnmf"])
+    # hyperparameter flags carry the estimator parameter's name and no
+    # default of their own: a flag left out stays out of the namespace
+    def model_parser(task: str, summary: str):
+        p = sub.add_parser(task, help=summary, epilog=_defaults(task),
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument("--algo", required=True, choices=list(_MODELS[task]))
+        p.add_argument("--out", default=None)
+        p.add_argument("--seed", type=int)
+        return p
+
+    p = model_parser("cluster", "detect communities, write membership JSON")
     p.add_argument("--graph", required=True, help="edge-list file")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--max-iterations", type=int, default=100,
-                   help="label-propagation round cap")
-    p.add_argument("--refinement-rounds", type=int, default=25,
-                   help="scd hill-climbing passes")
-    p.add_argument("--dimensions", type=int, default=None,
-                   help="symnmf factor count (default 32)")
-    p.add_argument("--iterations", type=int, default=200,
-                   help="symnmf update cap")
-    p.add_argument("--tolerance", type=float, default=1e-6,
-                   help="symnmf relative loss-change stop")
-    p.add_argument("--out", default=None)
+    p.add_argument("--max-iterations", type=int, help="label-propagation round cap")
+    p.add_argument("--refinement-rounds", type=int, help="scd hill-climbing passes")
+    p.add_argument("--dimensions", type=int, help="symnmf factor count")
+    p.add_argument("--iterations", type=int, help="symnmf update cap")
+    p.add_argument("--tolerance", type=float, help="symnmf relative loss-change stop")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("embed-nodes", help="embed nodes, write embedding CSV")
-    p.add_argument("--algo", required=True, choices=["deepwalk", "walklets", "netmf"])
+    p = model_parser("embed-nodes", "embed nodes, write embedding CSV")
     p.add_argument("--graph", required=True, help="edge-list file")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--dimensions", type=int, default=None,
-                   help="embedding width (walklets: per scale; "
-                   "defaults: deepwalk 128, walklets 32, netmf 32)")
-    p.add_argument("--walk-number", type=int, default=10)
-    p.add_argument("--walk-length", type=int, default=80)
-    p.add_argument("--window-size", type=int, default=None,
-                   help="deepwalk window (default 5) / walklets scales (default 4)")
-    p.add_argument("--negative-samples", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--learning-rate", type=float, default=0.025)
-    p.add_argument("--order", type=int, default=2, help="netmf proximity order")
-    p.add_argument("--negatives", type=int, default=1, help="netmf negative factor")
-    p.add_argument("--out", default=None)
+    p.add_argument("--dimensions", type=int, help="embedding width (walklets: per scale)")
+    p.add_argument("--walk-number", type=int)
+    p.add_argument("--walk-length", type=int)
+    p.add_argument("--window-size", type=int, help="deepwalk window / walklets scales")
+    p.add_argument("--negative-samples", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--order", type=int, help="netmf proximity order")
+    p.add_argument("--negatives", type=int, help="netmf negative factor")
     p.set_defaults(func=cmd_embed_nodes)
 
-    p = sub.add_parser("embed-graphs", help="embed a graph corpus, write CSV")
-    p.add_argument("--algo", required=True, choices=["sf", "netlsd", "wl-svd"])
+    p = model_parser("embed-graphs", "embed a graph corpus, write CSV")
     p.add_argument("--corpus", required=True, help="JSONL corpus file")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--dimensions", type=int, default=None,
-                   help="sf default 32, wl-svd default 128 (netlsd is fixed at 250)")
-    p.add_argument("--wl-iterations", type=int, default=2)
-    p.add_argument("--out", default=None)
+    p.add_argument("--dimensions", type=int, help="sf and wl-svd width (netlsd is fixed at 250)")
+    p.add_argument("--wl-iterations", type=int)
     p.set_defaults(func=cmd_embed_graphs)
 
     p = sub.add_parser("eval", help="compute a metric, print it as a decimal")

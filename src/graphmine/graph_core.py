@@ -22,13 +22,16 @@ from .errors import (
     ConnectivityRetryExhausted,
     DisconnectedGraph,
     DuplicateEdge,
+    InputContractError,
     IsolatedNode,
+    NotFitted,
     OutOfRangeNode,
     SelfLoop,
     TooManyEdges,
 )
 
 __all__ = [
+    "Estimator",
     "Graph",
     "ValidationReport",
     "RandomSource",
@@ -154,6 +157,42 @@ class ValidationReport:
     has_self_loops: bool
     has_duplicates: bool
     isolated_node_count: int
+
+
+# ---------------------------------------------------------------------------
+# estimator base
+# ---------------------------------------------------------------------------
+
+class Estimator:
+    """Base class of every estimator.
+
+    Hyperparameters are attributes named after the constructor's
+    parameters.  Each estimator's ``fit`` checks them, stores each result
+    ``x`` as ``self._x`` and returns ``self``.  The getter made by
+    :meth:`getter` raises :class:`NotFitted` before that and returns a copy
+    after, so callers never share the fitted state.
+    """
+
+    @staticmethod
+    def getter(result: str):
+        """The ``get_<result>`` method for a result that fit stores as ``self._<result>``."""
+
+        def get(self):
+            value = getattr(self, "_" + result, None)
+            if value is None:
+                raise NotFitted(f"call fit before get_{result}")
+            return value.copy()
+
+        get.__name__ = get.__qualname__ = f"get_{result}"
+        return get
+
+    def _require_at_least(self, **minimums) -> None:
+        """Raise :class:`InputContractError` unless each named hyperparameter
+        is at least its minimum."""
+        for name, low in minimums.items():
+            value = getattr(self, name)
+            if not value >= low:
+                raise InputContractError(f"{name} must be >= {low}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse as _sp
 
-from .errors import (
-    EmptyCorpus,
-    GraphTooLarge,
-    IncompleteFeatureMap,
-    NotFitted,
+from .errors import EmptyCorpus, GraphTooLarge, IncompleteFeatureMap
+from .graph_core import (
+    Estimator,
+    Graph,
+    RandomSource,
+    normalized_laplacian,
+    require_connected,
 )
-from .graph_core import Graph, RandomSource, normalized_laplacian, require_connected
 from .linalg import DENSE_SIZE_CAP, eigvals_symmetric, randomized_svd
 
 __all__ = [
@@ -32,9 +33,6 @@ __all__ = [
     "NetLsdModel",
     "WlSvdModel",
     "wl_features",
-    "wl_svd_fit",
-    "sf_fit",
-    "netlsd_fit",
 ]
 
 
@@ -124,42 +122,30 @@ def _require_dense_cap(corpus: GraphCorpus) -> None:
             )
 
 
-class _CorpusEstimator:
-    _embedding: np.ndarray | None = None
-
-    def get_embedding(self) -> np.ndarray:
-        if self._embedding is None:
-            raise NotFitted("call fit before get_embedding")
-        return self._embedding.copy()
-
-
-class SfModel(_CorpusEstimator):
+class SfModel(Estimator):
     """Spectral fingerprint: the smallest normalized-Laplacian eigenvalues,
     ascending, zero-padded on the right for graphs smaller than the width."""
 
     def __init__(self, dimensions: int = 32):
         self.dimensions = dimensions
-        self._embedding = None
+
+    get_embedding = Estimator.getter("embedding")
 
     def fit(self, corpus: GraphCorpus) -> "SfModel":
-        sf_fit(corpus, self)
+        self._require_at_least(dimensions=1)
+        _require_corpus(corpus)
+        _require_dense_cap(corpus)
+        d = self.dimensions
+        rows = np.zeros((len(corpus), d))
+        for i, g in enumerate(corpus.graphs):
+            vals = eigvals_symmetric(normalized_laplacian(g).toarray())
+            take = min(d, len(vals))
+            rows[i, :take] = vals[:take]
+        self._embedding = rows
         return self
 
 
-def sf_fit(corpus: GraphCorpus, model: SfModel) -> np.ndarray:
-    _require_corpus(corpus)
-    _require_dense_cap(corpus)
-    d = model.dimensions
-    rows = np.zeros((len(corpus), d))
-    for i, g in enumerate(corpus.graphs):
-        vals = eigvals_symmetric(normalized_laplacian(g).toarray())
-        take = min(d, len(vals))
-        rows[i, :take] = vals[:take]
-    model._embedding = rows
-    return rows.copy()
-
-
-class NetLsdModel(_CorpusEstimator):
+class NetLsdModel(Estimator):
     """Heat-trace fingerprint: sum of exp(-t * eigenvalue) over the
     normalized-Laplacian spectrum, evaluated on a fixed grid of 250 time
     points log-spaced on [1e-2, 1e2]."""
@@ -167,26 +153,22 @@ class NetLsdModel(_CorpusEstimator):
     def __init__(self):
         self.time_points = np.logspace(-2.0, 2.0, 250)
         self.time_points.setflags(write=False)
-        self._embedding = None
+
+    get_embedding = Estimator.getter("embedding")
 
     def fit(self, corpus: GraphCorpus) -> "NetLsdModel":
-        netlsd_fit(corpus, self)
+        _require_corpus(corpus)
+        _require_dense_cap(corpus)
+        t = self.time_points
+        rows = np.zeros((len(corpus), len(t)))
+        for i, g in enumerate(corpus.graphs):
+            vals = eigvals_symmetric(normalized_laplacian(g).toarray())
+            rows[i] = np.exp(-np.outer(t, vals)).sum(axis=1)
+        self._embedding = rows
         return self
 
 
-def netlsd_fit(corpus: GraphCorpus, model: NetLsdModel) -> np.ndarray:
-    _require_corpus(corpus)
-    _require_dense_cap(corpus)
-    t = model.time_points
-    rows = np.zeros((len(corpus), len(t)))
-    for i, g in enumerate(corpus.graphs):
-        vals = eigvals_symmetric(normalized_laplacian(g).toarray())
-        rows[i] = np.exp(-np.outer(t, vals)).sum(axis=1)
-    model._embedding = rows
-    return rows.copy()
-
-
-class WlSvdModel(_CorpusEstimator):
+class WlSvdModel(Estimator):
     """Factorized subtree-pattern features.
 
     Builds the graphs-by-features count matrix over all refinement rounds,
@@ -199,41 +181,38 @@ class WlSvdModel(_CorpusEstimator):
         self.wl_iterations = wl_iterations
         self.dimensions = dimensions
         self.seed = seed
-        self._embedding = None
+
+    get_embedding = Estimator.getter("embedding")
 
     def fit(self, corpus: GraphCorpus) -> "WlSvdModel":
-        wl_svd_fit(corpus, self)
+        self._require_at_least(wl_iterations=0, dimensions=1)
+        _require_corpus(corpus)
+        n_graphs = len(corpus)
+        feature_sets = []
+        for i, g in enumerate(corpus.graphs):
+            fmap = corpus.features[i] if corpus.features is not None else None
+            feature_sets.append(wl_features(g, fmap, self.wl_iterations).counts)
+
+        vocabulary = sorted(set().union(*[set(c) for c in feature_sets]))
+        index = {feat: j for j, feat in enumerate(vocabulary)}
+        rows, cols, vals = [], [], []
+        df = np.zeros(len(vocabulary))
+        for i, counts in enumerate(feature_sets):
+            for feat, cnt in counts.items():
+                j = index[feat]
+                rows.append(i)
+                cols.append(j)
+                vals.append(float(cnt))
+                df[j] += 1.0
+        tf = _sp.csr_matrix(
+            (vals, (rows, cols)), shape=(n_graphs, len(vocabulary))
+        )
+        idf = np.log(n_graphs / df)
+        weighted = tf.multiply(idf[None, :]).tocsr()
+
+        k = min(self.dimensions, n_graphs, len(vocabulary))
+        svd = randomized_svd(weighted, k, RandomSource(self.seed, 0))
+        embedding = np.zeros((n_graphs, self.dimensions))
+        embedding[:, :k] = svd.U * svd.singular_values
+        self._embedding = embedding
         return self
-
-
-def wl_svd_fit(corpus: GraphCorpus, model: WlSvdModel) -> np.ndarray:
-    _require_corpus(corpus)
-    n_graphs = len(corpus)
-    feature_sets = []
-    for i, g in enumerate(corpus.graphs):
-        fmap = corpus.features[i] if corpus.features is not None else None
-        feature_sets.append(wl_features(g, fmap, model.wl_iterations).counts)
-
-    vocabulary = sorted(set().union(*[set(c) for c in feature_sets]))
-    index = {feat: j for j, feat in enumerate(vocabulary)}
-    rows, cols, vals = [], [], []
-    df = np.zeros(len(vocabulary))
-    for i, counts in enumerate(feature_sets):
-        for feat, cnt in counts.items():
-            j = index[feat]
-            rows.append(i)
-            cols.append(j)
-            vals.append(float(cnt))
-            df[j] += 1.0
-    tf = _sp.csr_matrix(
-        (vals, (rows, cols)), shape=(n_graphs, len(vocabulary))
-    )
-    idf = np.log(n_graphs / df)
-    weighted = tf.multiply(idf[None, :]).tocsr()
-
-    k = min(model.dimensions, n_graphs, len(vocabulary))
-    svd = randomized_svd(weighted, k, RandomSource(model.seed, 0))
-    embedding = np.zeros((n_graphs, model.dimensions))
-    embedding[:, :k] = svd.U * svd.singular_values
-    model._embedding = embedding
-    return embedding.copy()

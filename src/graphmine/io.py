@@ -8,6 +8,7 @@ digit floats (lossless float64 round-trip), and a trailing newline.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
@@ -41,6 +42,33 @@ def _write(text: str, path: str) -> None:
         fh.write(text)
 
 
+def _read_text(path: str) -> str:
+    """The file decoded as UTF-8, with newlines translated as in text mode."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputContractError(f"{path}:{line}: not valid UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _lines(path: str):
+    """Yield ``(line number, stripped line)`` for each non-blank line."""
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if line:
+            yield lineno, line
+
+
+def _json_int(value) -> int:
+    """``value`` if it is a JSON integer; floats, booleans and strings raise."""
+    if type(value) is not int:
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
 # --- edge lists ---
 
 def read_edge_list(path: str) -> Graph:
@@ -51,33 +79,29 @@ def read_edge_list(path: str) -> Graph:
     """
     edges = []
     declared = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("nodes="):
-                    try:
-                        declared = int(body[len("nodes="):])
-                    except ValueError:
-                        raise InputContractError(
-                            f"{path}:{lineno}: bad node-count header: {line}"
-                        )
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise InputContractError(
-                    f"{path}:{lineno}: expected 'u,v', got: {line}"
-                )
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise InputContractError(
-                    f"{path}:{lineno}: endpoints must be integers: {line}"
-                )
-            edges.append((u, v))
+    for lineno, line in _lines(path):
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("nodes="):
+                try:
+                    declared = int(body[len("nodes="):])
+                except ValueError:
+                    raise InputContractError(
+                        f"{path}:{lineno}: bad node-count header: {line}"
+                    )
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise InputContractError(
+                f"{path}:{lineno}: expected 'u,v', got: {line}"
+            )
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputContractError(
+                f"{path}:{lineno}: endpoints must be integers: {line}"
+            )
+        edges.append((u, v))
     if declared is None:
         if not edges:
             raise InputContractError(f"{path}: no edges and no node-count header")
@@ -99,15 +123,25 @@ def write_edge_list(g: Graph, path: str) -> None:
 # --- memberships ---
 
 def read_membership(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputContractError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
+    text = _read_text(path)
     try:
-        return {int(k): int(v) for k, v in raw.items()}
-    except (AttributeError, ValueError, TypeError):
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputContractError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
+    if not isinstance(raw, dict):
         raise InputContractError(f"{path}: expected an object of node->cluster ids")
+    memberships = {}
+    for k, v in raw.items():
+        try:
+            memberships[int(k)] = _json_int(v)
+        except (TypeError, ValueError):
+            # the decoder keeps no positions: report the line of the key
+            at = re.search(re.escape(json.dumps(k, ensure_ascii=False)) + r"\s*:", text)
+            line = text.count("\n", 0, at.start()) + 1 if at else "?"
+            raise InputContractError(
+                f"{path}:{line}: expected an integer node id and cluster id, got {k!r}: {v!r}"
+            )
+    return memberships
 
 
 def membership_text(memberships: dict) -> str:
@@ -126,23 +160,19 @@ def read_embedding_csv(path: str) -> np.ndarray:
     """Rows of comma-separated finite floats, all of one width."""
     rows, linenos = [], []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                vals = [float(tok) for tok in line.split(",")]
-            except ValueError:
-                raise InputContractError(f"{path}:{lineno}: non-numeric cell: {line}")
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise InputContractError(
-                    f"{path}:{lineno}: ragged row of width {len(vals)} != {width}"
-                )
-            rows.append(vals)
-            linenos.append(lineno)
+    for lineno, line in _lines(path):
+        try:
+            vals = [float(tok) for tok in line.split(",")]
+        except ValueError:
+            raise InputContractError(f"{path}:{lineno}: non-numeric cell: {line}")
+        if width is None:
+            width = len(vals)
+        elif len(vals) != width:
+            raise InputContractError(
+                f"{path}:{lineno}: ragged row of width {len(vals)} != {width}"
+            )
+        rows.append(vals)
+        linenos.append(lineno)
     if not rows:
         raise InputContractError(f"{path}: empty embedding file")
     matrix = np.array(rows, dtype=np.float64)
@@ -165,15 +195,11 @@ def write_embedding_csv(matrix: np.ndarray, path: str) -> None:
 
 def read_labels_csv(path: str) -> np.ndarray:
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                values.append(int(line))
-            except ValueError:
-                raise InputContractError(f"{path}:{lineno}: expected an integer label")
+    for lineno, line in _lines(path):
+        try:
+            values.append(int(line))
+        except ValueError:
+            raise InputContractError(f"{path}:{lineno}: expected an integer label")
     if not values:
         raise InputContractError(f"{path}: empty label file")
     return np.array(values, dtype=np.int64)
@@ -191,44 +217,40 @@ def read_corpus_jsonl(path: str) -> GraphCorpus:
     graphs, features, labels = [], [], []
     any_features = False
     any_labels = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
+    for lineno, line in _lines(path):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputContractError(f"{path}:{lineno}: invalid JSON: {exc}")
+        if not isinstance(obj, dict) or "edges" not in obj:
+            raise InputContractError(f"{path}:{lineno}: missing 'edges'")
+        edges = obj["edges"]
+        if not isinstance(edges, list) or not edges:
+            raise InputContractError(f"{path}:{lineno}: 'edges' must be a non-empty list")
+        try:
+            pairs = [(_json_int(u), _json_int(v)) for u, v in edges]
+        except (TypeError, ValueError):
+            raise InputContractError(f"{path}:{lineno}: malformed edge pair")
+        n = 1 + max(max(u, v) for u, v in pairs)
+        graphs.append(build_graph(n, pairs))
+        fmap = obj.get("features")
+        if fmap is not None:
+            any_features = True
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputContractError(f"{path}:{lineno}: invalid JSON: {exc}")
-            if not isinstance(obj, dict) or "edges" not in obj:
-                raise InputContractError(f"{path}:{lineno}: missing 'edges'")
-            edges = obj["edges"]
-            if not isinstance(edges, list) or not edges:
-                raise InputContractError(f"{path}:{lineno}: 'edges' must be a non-empty list")
+                fmap = {int(k): str(v) for k, v in fmap.items()}
+            except (AttributeError, ValueError):
+                raise InputContractError(
+                    f"{path}:{lineno}: 'features' must map integer node ids to strings"
+                )
+        features.append(fmap)
+        label = obj.get("label")
+        if label is not None:
+            any_labels = True
             try:
-                pairs = [(int(u), int(v)) for u, v in edges]
-            except (TypeError, ValueError):
-                raise InputContractError(f"{path}:{lineno}: malformed edge pair")
-            n = 1 + max(max(u, v) for u, v in pairs)
-            graphs.append(build_graph(n, pairs))
-            fmap = obj.get("features")
-            if fmap is not None:
-                any_features = True
-                try:
-                    fmap = {int(k): str(v) for k, v in fmap.items()}
-                except (AttributeError, ValueError):
-                    raise InputContractError(
-                        f"{path}:{lineno}: 'features' must map integer node ids to strings"
-                    )
-            features.append(fmap)
-            label = obj.get("label")
-            if label is not None:
-                any_labels = True
-                try:
-                    label = int(label)
-                except (TypeError, ValueError):
-                    raise InputContractError(f"{path}:{lineno}: 'label' must be an integer")
-            labels.append(label)
+                label = _json_int(label)
+            except TypeError:
+                raise InputContractError(f"{path}:{lineno}: 'label' must be an integer")
+        labels.append(label)
     if not graphs:
         raise EmptyCorpus(f"{path}: no corpus lines")
     if any_labels and any(l is None for l in labels):

@@ -14,20 +14,20 @@ directly.  Every fit is a pure function of (graph, hyperparameters, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from scipy import sparse as _sp
 
-from .errors import (
-    EmptyCorpus,
-    GraphTooLarge,
-    IsolatedNode,
-    NotFitted,
-    RankTooLarge,
+from .errors import EmptyCorpus, GraphTooLarge, IsolatedNode, RankTooLarge
+from .graph_core import (
+    Estimator,
+    Graph,
+    RandomSource,
+    require_connected,
+    transition_matrix,
 )
-from .graph_core import Graph, RandomSource, require_connected, transition_matrix
 from .linalg import randomized_svd
 
 __all__ = [
@@ -40,9 +40,6 @@ __all__ = [
     "sgns_train",
     "sgns_pair_loss",
     "sgns_pair_gradients",
-    "deepwalk_fit",
-    "walklets_fit",
-    "netmf_fit",
     "NETMF_NODE_CAP",
 ]
 
@@ -314,26 +311,17 @@ def sgns_train(corpus: WalkCorpus, params: SkipGramParams) -> np.ndarray:
 # estimators
 # ---------------------------------------------------------------------------
 
-class _EmbeddingEstimator:
-    """Shared lifecycle: fit stores the embedding, getter guards on it."""
-
-    _embedding: np.ndarray | None = None
-
-    def get_embedding(self) -> np.ndarray:
-        if self._embedding is None:
-            raise NotFitted("call fit before get_embedding")
-        return self._embedding.copy()
-
-
-class DeepWalkModel(_EmbeddingEstimator):
-    """Truncated random walks + skip-gram over window co-occurrences."""
+def _walk_model_init(dimensions: int, window_size: int):
+    """The ``__init__`` shared by :class:`DeepWalkModel` and
+    :class:`WalkletsModel`, which take the same eight hyperparameters and
+    differ only in the defaults of ``dimensions`` and ``window_size``."""
 
     def __init__(
         self,
         walk_number: int = 10,
         walk_length: int = 80,
-        dimensions: int = 128,
-        window_size: int = 5,
+        dimensions: int = dimensions,
+        window_size: int = window_size,
         negative_samples: int = 5,
         epochs: int = 1,
         learning_rate: float = 0.025,
@@ -347,18 +335,17 @@ class DeepWalkModel(_EmbeddingEstimator):
         self.epochs = epochs
         self.learning_rate = learning_rate
         self.seed = seed
-        self._embedding = None
 
-    def fit(self, g: Graph) -> "DeepWalkModel":
-        deepwalk_fit(g, self)
-        return self
+    return __init__
 
 
-def deepwalk_fit(g: Graph, model: DeepWalkModel) -> np.ndarray:
-    corpus = generate_walks(
-        g, model.walk_number, model.walk_length, RandomSource(model.seed, 0)
+def _skip_gram_params(model) -> SkipGramParams:
+    """Check a walk model's hyperparameters; return its trainer settings."""
+    model._require_at_least(
+        walk_number=1, walk_length=2, dimensions=1, window_size=1,
+        negative_samples=0, epochs=1,
     )
-    params = SkipGramParams(
+    return SkipGramParams(
         dimensions=model.dimensions,
         window_size=model.window_size,
         negative_samples=model.negative_samples,
@@ -366,75 +353,56 @@ def deepwalk_fit(g: Graph, model: DeepWalkModel) -> np.ndarray:
         learning_rate=model.learning_rate,
         seed=model.seed,
     )
-    embedding = sgns_train(corpus, params)
-    model._embedding = embedding
-    return embedding.copy()
 
 
-class WalkletsModel(_EmbeddingEstimator):
-    """Multi-scale skip-gram: one model per exact walk offset 1..window_size,
-    embeddings concatenated in scale order (width = window_size * dimensions)."""
+class DeepWalkModel(Estimator):
+    """Truncated random walks + skip-gram over window co-occurrences."""
 
-    def __init__(
-        self,
-        walk_number: int = 10,
-        walk_length: int = 80,
-        dimensions: int = 32,
-        window_size: int = 4,
-        negative_samples: int = 5,
-        epochs: int = 1,
-        learning_rate: float = 0.025,
-        seed: int = 42,
-    ):
-        self.walk_number = walk_number
-        self.walk_length = walk_length
-        self.dimensions = dimensions
-        self.window_size = window_size
-        self.negative_samples = negative_samples
-        self.epochs = epochs
-        self.learning_rate = learning_rate
-        self.seed = seed
-        self._embedding = None
+    __init__ = _walk_model_init(dimensions=128, window_size=5)
+    get_embedding = Estimator.getter("embedding")
 
-    def fit(self, g: Graph) -> "WalkletsModel":
-        walklets_fit(g, self)
+    def fit(self, g: Graph) -> "DeepWalkModel":
+        params = _skip_gram_params(self)
+        corpus = generate_walks(
+            g, self.walk_number, self.walk_length, RandomSource(self.seed, 0)
+        )
+        self._embedding = sgns_train(corpus, params)
         return self
 
 
-def walklets_fit(g: Graph, model: WalkletsModel) -> np.ndarray:
-    corpus = generate_walks(
-        g, model.walk_number, model.walk_length, RandomSource(model.seed, 0)
-    )
-    walks = corpus.walks
-    parts = []
-    for scale in range(1, model.window_size + 1):
-        if scale >= model.walk_length:
-            raise EmptyCorpus(
-                f"scale {scale} needs walks longer than {model.walk_length}"
-            )
-        total = walks.shape[0] * (model.walk_length - scale)
-        params = SkipGramParams(
-            dimensions=model.dimensions,
-            window_size=model.window_size,
-            negative_samples=model.negative_samples,
-            epochs=model.epochs,
-            learning_rate=model.learning_rate,
-            seed=model.seed + scale,
+class WalkletsModel(Estimator):
+    """Multi-scale skip-gram: one model per exact walk offset 1..window_size,
+    embeddings concatenated in scale order (width = window_size * dimensions)."""
+
+    __init__ = _walk_model_init(dimensions=32, window_size=4)
+    get_embedding = Estimator.getter("embedding")
+
+    def fit(self, g: Graph) -> "WalkletsModel":
+        params = _skip_gram_params(self)
+        corpus = generate_walks(
+            g, self.walk_number, self.walk_length, RandomSource(self.seed, 0)
         )
-        parts.append(
-            _train_pairs(
-                lambda s=scale: _pair_blocks_offset(walks, s),
-                corpus.node_count,
-                params,
-                total,
+        walks = corpus.walks
+        parts = []
+        for scale in range(1, self.window_size + 1):
+            if scale >= self.walk_length:
+                raise EmptyCorpus(
+                    f"scale {scale} needs walks longer than {self.walk_length}"
+                )
+            total = walks.shape[0] * (self.walk_length - scale)
+            parts.append(
+                _train_pairs(
+                    lambda s=scale: _pair_blocks_offset(walks, s),
+                    corpus.node_count,
+                    replace(params, seed=self.seed + scale),
+                    total,
+                )
             )
-        )
-    embedding = np.concatenate(parts, axis=1)
-    model._embedding = embedding
-    return embedding.copy()
+        self._embedding = np.concatenate(parts, axis=1)
+        return self
 
 
-class NetMfModel(_EmbeddingEstimator):
+class NetMfModel(Estimator):
     """Explicit factorization of the log-scaled mean random-walk proximity.
 
     The proximity is vol(G)/(negatives*order) * (sum of transition-matrix
@@ -454,35 +422,31 @@ class NetMfModel(_EmbeddingEstimator):
         self.order = order
         self.negatives = negatives
         self.seed = seed
-        self._embedding = None
+
+    get_embedding = Estimator.getter("embedding")
 
     def fit(self, g: Graph) -> "NetMfModel":
-        netmf_fit(g, self)
+        self._require_at_least(order=1, negatives=1)
+        require_connected(g)
+        p = transition_matrix(g)  # an edgeless graph fails here, as in the walk models
+        n = g.node_count
+        if n > NETMF_NODE_CAP:
+            raise GraphTooLarge(f"netmf is capped at {NETMF_NODE_CAP} nodes, got {n}")
+        if self.dimensions < 1 or self.dimensions > n:
+            raise RankTooLarge(f"dimensions {self.dimensions} not in 1..{n}")
+        deg = g.degrees.astype(np.float64)
+        vol = float(deg.sum())
+        d_inv = _sp.diags(1.0 / deg)
+        power = acc = p
+        for _ in range(2, self.order + 1):
+            power = power @ p
+            acc = acc + power
+        m = (vol / (self.negatives * self.order)) * (acc @ d_inv)
+        m = _sp.csr_matrix(m)
+        # log of entries clamped to >= 1: entries <= 1 map to exactly 0,
+        # so sparsity is preserved without approximation
+        m.data = np.log(np.maximum(m.data, 1.0))
+        m.eliminate_zeros()
+        svd = randomized_svd(m, self.dimensions, RandomSource(self.seed, 0))
+        self._embedding = svd.U * np.sqrt(svd.singular_values)
         return self
-
-
-def netmf_fit(g: Graph, model: NetMfModel) -> np.ndarray:
-    require_connected(g)
-    p = transition_matrix(g)  # an edgeless graph fails here, as in the walk models
-    n = g.node_count
-    if n > NETMF_NODE_CAP:
-        raise GraphTooLarge(f"netmf is capped at {NETMF_NODE_CAP} nodes, got {n}")
-    if model.dimensions < 1 or model.dimensions > n:
-        raise RankTooLarge(f"dimensions {model.dimensions} not in 1..{n}")
-    deg = g.degrees.astype(np.float64)
-    vol = float(deg.sum())
-    d_inv = _sp.diags(1.0 / deg)
-    power = acc = p
-    for _ in range(2, model.order + 1):
-        power = power @ p
-        acc = acc + power
-    m = (vol / (model.negatives * model.order)) * (acc @ d_inv)
-    m = _sp.csr_matrix(m)
-    # log of entries clamped to >= 1: entries <= 1 map to exactly 0,
-    # so sparsity is preserved without approximation
-    m.data = np.log(np.maximum(m.data, 1.0))
-    m.eliminate_zeros()
-    svd = randomized_svd(m, model.dimensions, RandomSource(model.seed, 0))
-    embedding = svd.U * np.sqrt(svd.singular_values)
-    model._embedding = embedding
-    return embedding.copy()

@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from graphmine import (
     write_labels_csv,
     write_membership,
 )
+from graphmine.cli import _MODELS, _model, build_parser
 from builders import random_connected, triangle_pair, two_cliques
 
 
@@ -208,10 +210,13 @@ def test_malformed_files_exit_2_without_traceback(tmp_path):
     labels.write_text("0\n1\n")
     corpus = tmp_path / "c.jsonl"
     corpus.write_text('{"edges": [[0, 1]], "features": [1, 2]}\n')
+    utf16 = tmp_path / "g.csv"
+    utf16.write_bytes(b"\xff\xfe0,1\n")
     for args in (
         ("eval", "nmi", "--a", members, "--b", members),
         ("eval", "classify", "--embedding", embedding, "--labels", labels),
         ("embed-graphs", "--algo", "wl-svd", "--corpus", corpus),
+        ("cluster", "--algo", "scd", "--graph", utf16),
     ):
         res = run_cli(*args)
         assert res.returncode == 2, args
@@ -222,3 +227,38 @@ def test_malformed_files_exit_2_without_traceback(tmp_path):
 def test_threads_flag_is_accepted(tmp_path):
     res = run_cli("--threads", 1, "generate", "--nodes", 6, "--edges", 8, "--seed", 0)
     assert res.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "task, algo", [(task, algo) for task in _MODELS for algo in _MODELS[task]]
+)
+def test_unset_flags_leave_the_estimator_defaults(task, algo):
+    source = "--corpus" if task == "embed-graphs" else "--graph"
+    args = build_parser().parse_args([task, "--algo", algo, source, "in"])
+    cls = _MODELS[task][algo]
+    built, default = _model(task, args), cls()
+    assert type(built) is cls
+    for name in inspect.signature(cls).parameters:
+        assert getattr(built, name) == getattr(default, name), name
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("embed-nodes", "--algo", "deepwalk", "--dimensions", 0),
+        ("embed-nodes", "--algo", "deepwalk", "--walk-length", 0),
+        ("embed-nodes", "--algo", "netmf", "--negatives", 0),
+        ("embed-nodes", "--algo", "netmf", "--order", 0),
+        ("embed-nodes", "--algo", "netmf", "--order", -1),
+        ("cluster", "--algo", "label-propagation", "--max-iterations", -1),
+    ],
+    ids=["deepwalk-dimensions", "deepwalk-walk-length", "netmf-negatives",
+         "netmf-order-0", "netmf-order-negative", "lp-max-iterations"],
+)
+def test_bad_hyperparameters_exit_2_without_traceback(tmp_path, flags):
+    graph = tmp_path / "g.csv"
+    write_edge_list(random_connected(60, 180, 1), str(graph))
+    res = run_cli(*flags, "--graph", graph)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "error:" in res.stderr

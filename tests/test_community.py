@@ -13,11 +13,8 @@ from graphmine import (
     build_graph,
     canonicalize_memberships,
     erdos_renyi_gnm,
-    lp_fit,
     modularity,
     nmi,
-    scd_fit,
-    symnmf_fit,
 )
 from builders import complete_graph, path_graph, star_graph, triangle_pair, two_cliques
 from oracles import modularity_reference
@@ -94,8 +91,8 @@ def test_lp_recovers_two_cliques():
 
 def test_lp_is_deterministic_per_seed():
     g = erdos_renyi_gnm(30, 60, RandomSource(2, 0), connected=True)
-    a = lp_fit(g, LabelPropagationModel(seed=7))
-    b = lp_fit(g, LabelPropagationModel(seed=7))
+    a = LabelPropagationModel(seed=7).fit(g).get_memberships()
+    b = LabelPropagationModel(seed=7).fit(g).get_memberships()
     assert a == b
 
 
@@ -138,7 +135,7 @@ def test_scd_triangle_free_nodes_become_singletons():
 
 def test_scd_is_deterministic():
     g = erdos_renyi_gnm(30, 90, RandomSource(3, 0), connected=True)
-    assert scd_fit(g, ScdModel()) == scd_fit(g, ScdModel())
+    assert ScdModel().fit(g).get_memberships() == ScdModel().fit(g).get_memberships()
 
 
 def test_scd_requires_connected_graph():
@@ -175,9 +172,8 @@ def test_symnmf_loss_history_never_increases():
 
 def test_symnmf_loss_is_the_squared_reconstruction_error():
     g = two_cliques(3, bridged=True)
-    h, _ = symnmf_fit(g, SymNmfModel(dimensions=2, iterations=5, tolerance=0.0, seed=1))
-    model = SymNmfModel(dimensions=2, iterations=5, tolerance=0.0, seed=1)
-    model.fit(g)
+    model = SymNmfModel(dimensions=2, iterations=5, tolerance=0.0, seed=1).fit(g)
+    h = model.get_embedding()
     a = g.adjacency_scipy().toarray()
     direct = float(np.sum((a - h @ h.T) ** 2))
     assert abs(model.loss_history_[-1] - direct) < 1e-9
@@ -185,9 +181,10 @@ def test_symnmf_loss_is_the_squared_reconstruction_error():
 
 def test_symnmf_is_deterministic_and_seed_sensitive():
     g = erdos_renyi_gnm(12, 30, RandomSource(4, 0), connected=True)
-    h1, m1 = symnmf_fit(g, SymNmfModel(dimensions=3, seed=5))
-    h2, m2 = symnmf_fit(g, SymNmfModel(dimensions=3, seed=5))
-    h3, _ = symnmf_fit(g, SymNmfModel(dimensions=3, seed=6))
+    fit1, fit2, fit3 = (SymNmfModel(dimensions=3, seed=s).fit(g) for s in (5, 5, 6))
+    h1, m1 = fit1.get_embedding(), fit1.get_memberships()
+    h2, m2 = fit2.get_embedding(), fit2.get_memberships()
+    h3 = fit3.get_embedding()
     assert np.array_equal(h1, h2)
     assert m1 == m2
     assert not np.array_equal(h1, h3)

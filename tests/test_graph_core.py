@@ -3,12 +3,24 @@ import pytest
 
 from graphmine import (
     ConnectivityRetryExhausted,
+    DeepWalkModel,
     DuplicateEdge,
+    Estimator,
+    GraphCorpus,
     IsolatedNode,
+    LabelPropagationModel,
+    NetLsdModel,
+    NetMfModel,
+    NotFitted,
     OutOfRangeNode,
     RandomSource,
+    ScdModel,
     SelfLoop,
+    SfModel,
+    SymNmfModel,
     TooManyEdges,
+    WalkletsModel,
+    WlSvdModel,
     build_graph,
     erdos_renyi_gnm,
     normalized_laplacian,
@@ -17,7 +29,7 @@ from graphmine import (
     triangles_per_node,
     validate_graph,
 )
-from builders import complete_graph, path_graph, star_graph, triangle_pair
+from builders import complete_graph, path_graph, star_graph, triangle_pair, two_cliques
 from oracles import triangle_counts_reference
 
 
@@ -229,3 +241,44 @@ def test_triangle_matrix_matches_brute_force_enumeration():
         got = [set(t.indices[t.indptr[v]: t.indptr[v + 1]].tolist()) for v in range(n)]
         assert got == partners
         assert triangles_per_node(g) == counts
+
+
+# --- estimator lifecycle ---
+
+_MEMBERSHIPS, _EMBEDDING = {"get_memberships"}, {"get_embedding"}
+
+
+@pytest.mark.parametrize(
+    "make, getters",
+    [
+        (lambda: LabelPropagationModel(), _MEMBERSHIPS),
+        (lambda: ScdModel(), _MEMBERSHIPS),
+        (lambda: SymNmfModel(dimensions=2), _MEMBERSHIPS | _EMBEDDING),
+        (lambda: DeepWalkModel(walk_number=1, walk_length=6, dimensions=4), _EMBEDDING),
+        (lambda: WalkletsModel(walk_number=1, walk_length=6, dimensions=2, window_size=2), _EMBEDDING),
+        (lambda: NetMfModel(dimensions=2), _EMBEDDING),
+        (lambda: SfModel(dimensions=4), _EMBEDDING),
+        (lambda: NetLsdModel(), _EMBEDDING),
+        (lambda: WlSvdModel(dimensions=2), _EMBEDDING),
+    ],
+    ids=["lp", "scd", "symnmf", "deepwalk", "walklets", "netmf", "sf", "netlsd", "wl-svd"],
+)
+def test_estimator_lifecycle(make, getters):
+    model = make()
+    assert isinstance(model, Estimator)
+    assert {name for name in dir(model) if name.startswith("get_")} == getters
+    for name in getters:
+        with pytest.raises(NotFitted):
+            getattr(model, name)()
+    g = two_cliques(4)
+    corpus_model = isinstance(model, (SfModel, NetLsdModel, WlSvdModel))
+    assert model.fit(GraphCorpus(graphs=[g, path_graph(5)]) if corpus_model else g) is model
+    for name in getters:
+        kept = getattr(model, name)()
+        handed = getattr(model, name)()
+        if isinstance(handed, dict):
+            handed.clear()
+            assert getattr(model, name)() == kept
+        else:
+            handed.fill(-7.0)
+            assert np.array_equal(getattr(model, name)(), kept)

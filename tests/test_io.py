@@ -185,13 +185,22 @@ def test_corpus_rejects_malformed_lines(tmp_path):
         (read_corpus_jsonl, "c.jsonl", '{"edges": [[0, 1]]}\n{"edges": [[0, 1]], "features": {"x": "a"}}\n', 2),
         (read_corpus_jsonl, "c.jsonl", '{"edges": [[0, 1]], "label": "one"}\n', 1),
         (read_corpus_jsonl, "c.jsonl", '{"edges": [[0, 1]], "label": [1]}\n', 1),
+        (read_corpus_jsonl, "c.jsonl", '{"edges": [[0, 1]], "label": 1.7}\n', 1),
+        (read_corpus_jsonl, "c.jsonl", '{"edges": [[0, 1]]}\n{"edges": [[0, 1]], "label": true}\n', 2),
+        (read_corpus_jsonl, "c.jsonl", '{"edges": [[0, 1.5]]}\n', 1),
+        (read_membership, "m.json", '{"0": 0,\n "1": 1.7}\n', 2),
+        (read_membership, "m.json", '{"0": true}\n', 1),
+        (read_edge_list, "g.csv", b"\xff\xfe0,1\n", 1),
+        (read_labels_csv, "y.csv", b"0\n1\n\xc3\n", 3),
     ],
     ids=["membership-json", "embedding-text", "embedding-nan", "embedding-inf",
-         "features-list", "features-key", "label-text", "label-list"],
+         "features-list", "features-key", "label-text", "label-list",
+         "label-float", "label-bool", "endpoint-float", "cluster-id-float",
+         "cluster-id-bool", "edge-list-not-utf8", "labels-not-utf8"],
 )
 def test_readers_raise_typed_errors_with_line_context(tmp_path, reader, name, text, line):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     with pytest.raises(InputContractError, match=re.escape(f"{name}:{line}: ")):
         reader(str(path))
 
