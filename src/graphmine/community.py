@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IncompleteMembership, RankTooLarge
+from .errors import IncompleteMembership, InputContractError, RankTooLarge
 from .graph_core import (
     Estimator,
     Graph,
@@ -268,6 +268,8 @@ class SymNmfModel(Estimator):
     def fit(self, g: Graph) -> "SymNmfModel":
         """Fit H >= 0 minimizing ||A - H H^T||_F^2."""
         self._require_at_least(iterations=1)
+        if np.isnan(self.tolerance):
+            raise InputContractError("tolerance must be a number, got nan")
         require_connected(g)
         n = g.node_count
         k = self.dimensions

@@ -90,7 +90,8 @@ class NotSymmetric(InputContractError):
 
 
 class NoConvergence(GraphMineError):
-    """A numerical kernel failed to converge (LAPACK reported an error)."""
+    """A numerical kernel failed to converge: LAPACK reported an error, or
+    skip-gram training ended with a non-finite weight."""
 
 
 class MatrixTooLarge(InputContractError):

@@ -20,7 +20,14 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse as _sp
 
-from .errors import EmptyCorpus, GraphTooLarge, IsolatedNode, RankTooLarge
+from .errors import (
+    EmptyCorpus,
+    GraphTooLarge,
+    InputContractError,
+    IsolatedNode,
+    NoConvergence,
+    RankTooLarge,
+)
 from .graph_core import (
     Estimator,
     Graph,
@@ -116,12 +123,10 @@ def generate_walks(
 # ---------------------------------------------------------------------------
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so each
+    # branch is the usual overflow-free form, from one exp
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
 
 
 def sgns_pair_loss(
@@ -213,6 +218,40 @@ def _batch_size(
     return int(np.clip(np.floor(_STALE_HITS / float(p_eff.max())), 1, _BATCH_CAP))
 
 
+def _bucket_table(cum: np.ndarray) -> np.ndarray:
+    """Lookup table for :func:`_bucket_search` over the sorted ``cum``.
+
+    It splits [0, 1) into 2**p >= 8n buckets of width 2**-p.  Entry k is
+    ``np.searchsorted(cum, r)`` for every r in bucket k when no value of
+    ``cum`` lies in the bucket (the answer is then the same across it), and
+    -1 when one does.
+    """
+    buckets = 1 << (8 * len(cum) - 1).bit_length()
+    edges = np.searchsorted(cum, np.arange(buckets + 1) / buckets)
+    return np.where(edges[:-1] == edges[1:], edges[:-1], -1)
+
+
+def _bucket_search(table: np.ndarray, cum: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, r)`` for keys r in [0, 1), exactly.
+
+    r times the power-of-two bucket count is exact, so each key lands in the
+    bucket that holds it; keys in buckets marked -1 fall back to the search.
+    """
+    idx = table[(r * len(table)).astype(np.intp)]
+    miss = idx < 0
+    idx[miss] = np.searchsorted(cum, r[miss])
+    return idx
+
+
+def _scatter_matrix(rows: int, cols: int):
+    """A ``rows x cols`` CSC matrix with a single 1.0 in each column; the
+    caller writes each column's row into ``.indices``."""
+    return _sp.csc_matrix(
+        (np.ones(cols), np.zeros(cols, dtype=np.int64), np.arange(cols + 1)),
+        shape=(rows, cols),
+    )
+
+
 def _train_pairs(
     blocks_factory,
     n: int,
@@ -226,19 +265,31 @@ def _train_pairs(
     batch is weighted by its own rate, so the decay is exact despite
     batching.  Negatives are drawn per pair from the empirical context
     distribution raised to 0.75.  Everything is single-threaded and seeded.
+
+    The center table ``u`` and the context table ``v`` are the two halves
+    of one ``(2n, d)`` table, and each batch adds all its gradients to it
+    with one product ``sel @ grads``.  Column j of the CSC matrix ``sel``
+    holds a single 1.0, in the row that gradient row j updates.  scipy
+    adds the columns in order into a zeroed result, so every row receives
+    its gradients summed left to right in batch order, the sum that two
+    separate products for ``u`` and ``v`` give; no row of ``u`` is a row of
+    ``v``.  Negative draws go through :func:`_bucket_search`, which returns
+    exactly ``np.searchsorted(cum, r)`` for the same random keys.  A table
+    with a non-finite entry at the end raises :class:`NoConvergence`.
     """
     if total_pairs == 0:
         raise EmptyCorpus("no training pairs")
     d = params.dimensions
     gen = RandomSource(params.seed, 0).generator()
-    u = (gen.random((n, d)) - 0.5) / d  # centers
-    v = np.zeros((n, d))  # contexts
+    table = np.concatenate([(gen.random((n, d)) - 0.5) / d, np.zeros((n, d))])
+    u, v = table[:n], table[n:]  # centers, contexts
 
     center_freq, context_freq = _count_frequencies(blocks_factory(), n)
     noise = context_freq.astype(np.float64) ** 0.75
     cum = np.cumsum(noise)
     p_noise = noise / cum[-1]
     cum /= cum[-1]
+    buckets = _bucket_table(cum)
     neg = params.negative_samples
     batch = _batch_size(center_freq, context_freq, p_noise, total_pairs, neg)
 
@@ -247,6 +298,9 @@ def _train_pairs(
     grand_total = total_pairs * params.epochs
     span = max(grand_total - 1, 1)
 
+    # gradient rows, in scatter order: [u of cb | v of xb | v of negs]
+    buf = np.empty((batch * (neg + 2), d))
+    full_sel = _scatter_matrix(2 * n, len(buf))
     done = 0
     for _ in range(params.epochs):
         for centers, contexts in blocks_factory():
@@ -258,7 +312,7 @@ def _train_pairs(
                     (done + np.arange(b)) / span
                 )
                 done += b
-                negs = np.searchsorted(cum, gen.random((b, neg)))
+                negs = _bucket_search(buckets, cum, gen.random((b, neg)))
                 uc = u[cb]  # b x d
                 vx = v[xb]
                 vn = v[negs]  # b x neg x d
@@ -266,25 +320,26 @@ def _train_pairs(
                 s_neg = _stable_sigmoid(np.einsum("bkd,bd->bk", vn, uc))
                 coef_pos = alphas * (1.0 - s_pos)
                 coef_neg = -alphas[:, None] * s_neg
-                grad_u = coef_pos[:, None] * vx + np.einsum("bk,bkd->bd", coef_neg, vn)
-                # rows repeat within a batch; scatter-add via a sparse
-                # selection matrix keeps accumulation exact and fast
-                rows_u = _sp.csr_matrix(
-                    (np.ones(b), (cb, np.arange(b))), shape=(n, b)
+                m = b * (neg + 2)
+                grads = buf[:m]
+                np.multiply(coef_pos[:, None], vx, out=grads[:b])
+                grads[:b] += np.einsum("bk,bkd->bd", coef_neg, vn)
+                np.multiply(coef_pos[:, None], uc, out=grads[b: 2 * b])
+                np.multiply(
+                    coef_neg[:, :, None], uc[:, None, :], out=grads[2 * b:].reshape(b, neg, d)
                 )
-                u += rows_u @ grad_u
-                # context updates: positive rows xb get coef_pos * uc,
-                # negative rows negs get coef_neg * uc
-                flat_rows = np.concatenate([xb, negs.ravel()])
-                flat_grads = np.concatenate(
-                    [coef_pos[:, None] * uc, (coef_neg[:, :, None] * uc[:, None, :]).reshape(-1, d)]
-                )
-                rows_v = _sp.csr_matrix(
-                    (np.ones(len(flat_rows)), (flat_rows, np.arange(len(flat_rows)))),
-                    shape=(n, len(flat_rows)),
-                )
-                v += rows_v @ flat_grads
-    return u
+                sel = full_sel if b == batch else _scatter_matrix(2 * n, m)
+                rows = sel.indices
+                rows[:b] = cb
+                np.add(xb, n, out=rows[b: 2 * b])
+                np.add(negs.ravel(), n, out=rows[2 * b:])
+                table += sel @ grads
+    if not np.isfinite(table).all():
+        raise NoConvergence(
+            "skip-gram training diverged to non-finite values; "
+            "try a smaller learning_rate"
+        )
+    return u.copy()
 
 
 def sgns_train(corpus: WalkCorpus, params: SkipGramParams) -> np.ndarray:
@@ -345,6 +400,10 @@ def _skip_gram_params(model) -> SkipGramParams:
         walk_number=1, walk_length=2, dimensions=1, window_size=1,
         negative_samples=0, epochs=1,
     )
+    if not 0.0 < model.learning_rate < np.inf:
+        raise InputContractError(
+            f"learning_rate must be a positive finite number, got {model.learning_rate!r}"
+        )
     return SkipGramParams(
         dimensions=model.dimensions,
         window_size=model.window_size,

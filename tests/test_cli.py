@@ -251,9 +251,17 @@ def test_unset_flags_leave_the_estimator_defaults(task, algo):
         ("embed-nodes", "--algo", "netmf", "--order", 0),
         ("embed-nodes", "--algo", "netmf", "--order", -1),
         ("cluster", "--algo", "label-propagation", "--max-iterations", -1),
+        ("embed-nodes", "--algo", "deepwalk", "--learning-rate", "nan"),
+        ("embed-nodes", "--algo", "deepwalk", "--learning-rate", 0),
+        ("embed-nodes", "--algo", "deepwalk", "--learning-rate", -5),
+        ("embed-nodes", "--algo", "walklets", "--learning-rate", "inf"),
+        ("cluster", "--algo", "symnmf", "--tolerance", "nan"),
     ],
     ids=["deepwalk-dimensions", "deepwalk-walk-length", "netmf-negatives",
-         "netmf-order-0", "netmf-order-negative", "lp-max-iterations"],
+         "netmf-order-0", "netmf-order-negative", "lp-max-iterations",
+         "deepwalk-learning-rate-nan", "deepwalk-learning-rate-0",
+         "deepwalk-learning-rate-negative", "walklets-learning-rate-inf",
+         "symnmf-tolerance-nan"],
 )
 def test_bad_hyperparameters_exit_2_without_traceback(tmp_path, flags):
     graph = tmp_path / "g.csv"

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from graphmine import (
     DeepWalkModel,
@@ -9,6 +12,7 @@ from graphmine import (
     IsolatedNode,
     NETMF_NODE_CAP,
     NetMfModel,
+    NoConvergence,
     NotFitted,
     RandomSource,
     RankTooLarge,
@@ -22,7 +26,15 @@ from graphmine import (
     sgns_pair_loss,
     sgns_train,
 )
-from builders import path_graph, two_cliques
+from graphmine.node_embedding import (
+    _bucket_search,
+    _bucket_table,
+    _pair_blocks_offset,
+    _pair_blocks_window,
+    _stable_sigmoid,
+    _window_template,
+)
+from builders import cycle_graph, path_graph, random_connected, star_graph, two_cliques
 from oracles import (
     central_difference,
     gradient_gap,
@@ -170,6 +182,161 @@ def test_trainer_stays_bounded_on_a_hub_graph():
     emb = sgns_train(corpus, SkipGramParams(dimensions=8, window_size=3, seed=1))
     assert np.all(np.isfinite(emb))
     assert np.max(np.abs(emb)) < 100.0
+
+
+def test_trainer_raises_no_convergence_when_weights_overflow():
+    """A learning rate far too large for a star graph drives the weights to
+    NaN; the fit must fail instead of returning them."""
+    model = DeepWalkModel(
+        walk_number=2, walk_length=18, dimensions=14, window_size=3,
+        negative_samples=6, epochs=3, learning_rate=0.5, seed=411,
+    )
+    with pytest.raises(NoConvergence):
+        model.fit(star_graph(18))
+    with pytest.raises(NotFitted):
+        model.get_embedding()
+
+
+# --- byte-identity pin: the trainer against its first, plain loop ---
+
+def _reference_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _reference_train_pairs(blocks_factory, n, params, total_pairs):
+    """The skip-gram loop as first written, frozen: two COO->CSR selection
+    products per batch, ``np.searchsorted`` negative draws and the
+    two-branch sigmoid.  Returns the center table and the batch size."""
+    d = params.dimensions
+    gen = RandomSource(params.seed, 0).generator()
+    u = (gen.random((n, d)) - 0.5) / d
+    v = np.zeros((n, d))
+    center_freq = np.zeros(n, dtype=np.int64)
+    context_freq = np.zeros(n, dtype=np.int64)
+    for centers, contexts in blocks_factory():
+        center_freq += np.bincount(centers, minlength=n)
+        context_freq += np.bincount(contexts, minlength=n)
+    noise = context_freq.astype(np.float64) ** 0.75
+    cum = np.cumsum(noise)
+    p_noise = noise / cum[-1]
+    cum /= cum[-1]
+    neg = params.negative_samples
+    p_eff = (center_freq + context_freq) / float(total_pairs) + neg * p_noise
+    batch = int(np.clip(np.floor(16.0 / float(p_eff.max())), 1, 1024))
+    alpha0 = params.learning_rate
+    alpha_end = alpha0 / 100.0
+    span = max(total_pairs * params.epochs - 1, 1)
+    done = 0
+    for _ in range(params.epochs):
+        for centers, contexts in blocks_factory():
+            for lo in range(0, len(centers), batch):
+                cb = centers[lo: lo + batch]
+                xb = contexts[lo: lo + batch]
+                b = len(cb)
+                alphas = alpha0 + (alpha_end - alpha0) * ((done + np.arange(b)) / span)
+                done += b
+                negs = np.searchsorted(cum, gen.random((b, neg)))
+                uc, vx, vn = u[cb], v[xb], v[negs]
+                s_pos = _reference_sigmoid(np.einsum("bd,bd->b", uc, vx))
+                s_neg = _reference_sigmoid(np.einsum("bkd,bd->bk", vn, uc))
+                coef_pos = alphas * (1.0 - s_pos)
+                coef_neg = -alphas[:, None] * s_neg
+                grad_u = coef_pos[:, None] * vx + np.einsum("bk,bkd->bd", coef_neg, vn)
+                u += sparse.csr_matrix((np.ones(b), (cb, np.arange(b))), shape=(n, b)) @ grad_u
+                rows = np.concatenate([xb, negs.ravel()])
+                grads = np.concatenate(
+                    [coef_pos[:, None] * uc, (coef_neg[:, :, None] * uc[:, None, :]).reshape(-1, d)]
+                )
+                m = len(rows)
+                v += sparse.csr_matrix((np.ones(m), (rows, np.arange(m))), shape=(n, m)) @ grads
+    return u, batch
+
+
+_PIN_CASES = {
+    # (graph, walk_number, walk_length, SkipGramParams fields, batch check)
+    "near-regular-at-cap": (
+        cycle_graph(1200), 1, 10, dict(window_size=2), lambda b: b == 1024,
+    ),
+    "star-small-batch": (
+        star_graph(40), 2, 12, dict(window_size=3), lambda b: b < 64,
+    ),
+    "no-negatives": (
+        random_connected(30, 60, 3), 2, 10, dict(window_size=2, negative_samples=0), None,
+    ),
+    "twenty-negatives": (
+        star_graph(12), 1, 10, dict(window_size=2, negative_samples=20), lambda b: b <= 2,
+    ),
+    "two-epochs": (
+        random_connected(40, 100, 5), 2, 10, dict(window_size=3, epochs=2), None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PIN_CASES))
+def test_trainer_bytes_match_the_reference_loop(case):
+    g, walk_number, walk_length, fields, batch_ok = _PIN_CASES[case]
+    params = SkipGramParams(dimensions=8, seed=17, **fields)
+    walks = generate_walks(g, walk_number, walk_length, RandomSource(params.seed, 0)).walks
+    n = g.node_count
+
+    total = walks.shape[0] * len(_window_template(walk_length, params.window_size)[0])
+    want, batch = _reference_train_pairs(
+        lambda: _pair_blocks_window(walks, params.window_size), n, params, total
+    )
+    if batch_ok is not None:
+        assert batch_ok(batch), batch
+    if batch == 1024:
+        assert total % batch != 0  # the last batch is a partial one
+    got = sgns_train(WalkCorpus(walks=walks, node_count=n), params)
+    assert np.array_equal(got, want)
+
+    model = WalkletsModel(
+        walk_number=walk_number, walk_length=walk_length, dimensions=params.dimensions,
+        window_size=params.window_size, negative_samples=params.negative_samples,
+        epochs=params.epochs, learning_rate=params.learning_rate, seed=params.seed,
+    )
+    emb = model.fit(g).get_embedding()
+    d = params.dimensions
+    for scale in range(1, params.window_size + 1):
+        want, _ = _reference_train_pairs(
+            lambda s=scale: _pair_blocks_offset(walks, s), n,
+            replace(params, seed=params.seed + scale), walks.shape[0] * (walk_length - scale),
+        )
+        assert np.array_equal(emb[:, (scale - 1) * d: scale * d], want), scale
+
+
+def test_bucket_search_equals_searchsorted():
+    gen = RandomSource(23, 0).generator()
+    for n in (1, 2, 7, 64, 1000):
+        noise = gen.random(n) ** 0.75
+        noise[gen.random(n) < 0.3] = 0.0  # zero-frequency contexts repeat cum values
+        noise[0] = 0.0
+        noise[-1] = 1.0
+        cum = np.cumsum(noise)
+        cum /= cum[-1]
+        table = _bucket_table(cum)
+        buckets = len(table)
+        assert buckets >= 8 * n and buckets & (buckets - 1) == 0
+        keys = np.concatenate([
+            gen.random(4000),
+            np.arange(buckets) / buckets,  # every bucket edge
+            cum[cum < 1.0],
+            [0.0, np.nextafter(1.0, 0.0)],
+        ])
+        assert np.array_equal(_bucket_search(table, cum, keys), np.searchsorted(cum, keys))
+        square = gen.random((50, 6))
+        assert np.array_equal(_bucket_search(table, cum, square), np.searchsorted(cum, square))
+
+
+def test_stable_sigmoid_matches_the_two_branch_formula():
+    edges = np.array([0.0, 1e-310, 37.0, 745.0, 1e308])
+    x = np.concatenate([edges, -edges, RandomSource(4, 0).generator().standard_normal(999) * 40])
+    assert _stable_sigmoid(x).tobytes() == _reference_sigmoid(x).tobytes()
 
 
 # --- estimators ---
