@@ -91,7 +91,8 @@ class NotSymmetric(InputContractError):
 
 class NoConvergence(GraphMineError):
     """A numerical kernel failed to converge: LAPACK reported an error, or
-    skip-gram training ended with a non-finite weight."""
+    skip-gram training ended with a weight that is NaN or exceeds 1e6 in
+    absolute value."""
 
 
 class MatrixTooLarge(InputContractError):

@@ -124,12 +124,9 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
-        out = []
-        for u in range(self.node_count):
-            for v in self.neighbors(u):
-                if u < v:
-                    out.append((u, int(v)))
-        return out
+        heads = np.repeat(np.arange(self.node_count), self.degrees)
+        keep = heads < self.targets
+        return list(zip(heads[keep].tolist(), self.targets[keep].tolist()))
 
     def adjacency_scipy(self) -> _sp.csr_matrix:
         """The 0/1 adjacency matrix as a scipy CSR (float64)."""
@@ -148,14 +145,10 @@ class ValidationReport:
 
     ``is_contiguous`` reports whether every declared id participates in at
     least one edge; degree-zero ids are counted in ``isolated_node_count``.
-    Graphs produced by :func:`build_graph` can never contain self-loops or
-    duplicate edges, so those two flags are false for them by construction.
     """
 
     is_connected: bool
     is_contiguous: bool
-    has_self_loops: bool
-    has_duplicates: bool
     isolated_node_count: int
 
 
@@ -260,8 +253,6 @@ def validate_graph(g: Graph) -> ValidationReport:
     return ValidationReport(
         is_connected=bool(visited.all()),
         is_contiguous=(isolated == 0),
-        has_self_loops=False,
-        has_duplicates=False,
         isolated_node_count=isolated,
     )
 

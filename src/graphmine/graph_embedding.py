@@ -114,12 +114,19 @@ def _require_corpus(corpus: GraphCorpus) -> None:
         require_connected(g, f"graph {i}")
 
 
-def _require_dense_cap(corpus: GraphCorpus) -> None:
+def _spectra(corpus: GraphCorpus) -> list:
+    """Ascending normalized-Laplacian eigenvalues of each graph.
+
+    Every graph is checked for emptiness and connectivity before any is
+    checked against the dense cap, so those errors take precedence.
+    """
+    _require_corpus(corpus)
     for i, g in enumerate(corpus.graphs):
         if g.node_count > DENSE_SIZE_CAP:
             raise GraphTooLarge(
                 f"graph {i} has {g.node_count} nodes, cap is {DENSE_SIZE_CAP}"
             )
+    return [eigvals_symmetric(normalized_laplacian(g).toarray()) for g in corpus.graphs]
 
 
 class SfModel(Estimator):
@@ -133,12 +140,9 @@ class SfModel(Estimator):
 
     def fit(self, corpus: GraphCorpus) -> "SfModel":
         self._require_at_least(dimensions=1)
-        _require_corpus(corpus)
-        _require_dense_cap(corpus)
         d = self.dimensions
         rows = np.zeros((len(corpus), d))
-        for i, g in enumerate(corpus.graphs):
-            vals = eigvals_symmetric(normalized_laplacian(g).toarray())
+        for i, vals in enumerate(_spectra(corpus)):
             take = min(d, len(vals))
             rows[i, :take] = vals[:take]
         self._embedding = rows
@@ -157,12 +161,9 @@ class NetLsdModel(Estimator):
     get_embedding = Estimator.getter("embedding")
 
     def fit(self, corpus: GraphCorpus) -> "NetLsdModel":
-        _require_corpus(corpus)
-        _require_dense_cap(corpus)
         t = self.time_points
         rows = np.zeros((len(corpus), len(t)))
-        for i, g in enumerate(corpus.graphs):
-            vals = eigvals_symmetric(normalized_laplacian(g).toarray())
+        for i, vals in enumerate(_spectra(corpus)):
             rows[i] = np.exp(-np.outer(t, vals)).sum(axis=1)
         self._embedding = rows
         return self

@@ -55,6 +55,10 @@ NETMF_NODE_CAP = 2 ** 13
 _BATCH_CAP = 1024
 _STALE_HITS = 16.0  # max expected updates per node vector within one batch
 _WALK_BLOCK = 2048  # walks per training block; bounds pair-buffer memory
+# Largest |weight| a trained skip-gram table may hold: converged fits end
+# with weights of order 1 (below 2.5 for DeepWalk at d=32 on a connected
+# G(1024, 6144), even at learning_rate=0.1); a fit beyond it has diverged.
+_WEIGHT_BOUND = 1e6
 
 
 @dataclass(frozen=True)
@@ -275,7 +279,8 @@ def _train_pairs(
     separate products for ``u`` and ``v`` give; no row of ``u`` is a row of
     ``v``.  Negative draws go through :func:`_bucket_search`, which returns
     exactly ``np.searchsorted(cum, r)`` for the same random keys.  A table
-    with a non-finite entry at the end raises :class:`NoConvergence`.
+    with an entry beyond ``_WEIGHT_BOUND`` in absolute value, or a NaN, at
+    the end raises :class:`NoConvergence`.
     """
     if total_pairs == 0:
         raise EmptyCorpus("no training pairs")
@@ -334,10 +339,10 @@ def _train_pairs(
                 np.add(xb, n, out=rows[b: 2 * b])
                 np.add(negs.ravel(), n, out=rows[2 * b:])
                 table += sel @ grads
-    if not np.isfinite(table).all():
+    if not (np.abs(table) <= _WEIGHT_BOUND).all():  # NaN fails the comparison
         raise NoConvergence(
-            "skip-gram training diverged to non-finite values; "
-            "try a smaller learning_rate"
+            f"skip-gram training diverged: a weight is NaN or exceeds {_WEIGHT_BOUND:g} "
+            "in absolute value; try a smaller learning_rate"
         )
     return u.copy()
 

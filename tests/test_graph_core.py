@@ -273,6 +273,7 @@ def test_estimator_lifecycle(make, getters):
     g = two_cliques(4)
     corpus_model = isinstance(model, (SfModel, NetLsdModel, WlSvdModel))
     assert model.fit(GraphCorpus(graphs=[g, path_graph(5)]) if corpus_model else g) is model
+    assert (getattr(model, "loss_history_", None) is not None) == isinstance(model, SymNmfModel)
     for name in getters:
         kept = getattr(model, name)()
         handed = getattr(model, name)()

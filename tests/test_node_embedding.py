@@ -186,15 +186,17 @@ def test_trainer_stays_bounded_on_a_hub_graph():
 
 def test_trainer_raises_no_convergence_when_weights_overflow():
     """A learning rate far too large for a star graph drives the weights to
-    NaN; the fit must fail instead of returning them."""
-    model = DeepWalkModel(
-        walk_number=2, walk_length=18, dimensions=14, window_size=3,
-        negative_samples=6, epochs=3, learning_rate=0.5, seed=411,
-    )
-    with pytest.raises(NoConvergence):
-        model.fit(star_graph(18))
-    with pytest.raises(NotFitted):
-        model.get_embedding()
+    NaN (d=14) or to about 1e149 (d=4); the fit must fail instead of
+    returning them."""
+    for dimensions in (14, 4):
+        model = DeepWalkModel(
+            walk_number=2, walk_length=18, dimensions=dimensions, window_size=3,
+            negative_samples=6, epochs=3, learning_rate=0.5, seed=411,
+        )
+        with pytest.raises(NoConvergence):
+            model.fit(star_graph(18))
+        with pytest.raises(NotFitted):
+            model.get_embedding()
 
 
 # --- byte-identity pin: the trainer against its first, plain loop ---
