@@ -52,7 +52,7 @@ class GraphContractError(GraphMineError):
 # --- graph construction and generation ---
 
 class OutOfRangeNode(InputContractError):
-    """An edge endpoint lies outside 0..n-1."""
+    """A node id (an edge endpoint, a walk step) lies outside 0..n-1."""
 
 
 class SelfLoop(InputContractError):

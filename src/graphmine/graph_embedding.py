@@ -72,7 +72,14 @@ class WlFeatureSet:
     node_count: int
 
 
+def _escape(label: str) -> str:
+    """``label`` with its ``\\``, ``|`` and ``,`` backslash-escaped, so that
+    :func:`_hash_label` payloads of different label multisets differ."""
+    return label.replace("\\", "\\\\").replace("|", "\\|").replace(",", "\\,")
+
+
 def _hash_label(own: str, neighbor_labels: list) -> str:
+    """Stable 64-bit hex hash of an escaped label and its escaped neighbors'."""
     payload = own + "|" + ",".join(sorted(neighbor_labels))
     return hashlib.blake2b(payload.encode("utf-8"), digest_size=8).hexdigest()
 
@@ -82,8 +89,9 @@ def wl_features(g: Graph, features: dict | None, iterations: int) -> WlFeatureSe
 
     Round 0 labels are the provided per-node strings, or the decimal degree
     when no map is given.  Each later round hashes a node's own label
-    together with its sorted neighbor labels into a stable 64-bit hex
-    string.  All rounds contribute to the returned multiset.
+    together with its sorted neighbor labels, each escaped by
+    :func:`_escape`, into a stable 64-bit hex string.  All rounds
+    contribute to the returned multiset.
     """
     n = g.node_count
     if features is not None:
@@ -97,11 +105,8 @@ def wl_features(g: Graph, features: dict | None, iterations: int) -> WlFeatureSe
     for v in range(n):
         counts[f"0:{labels[v]}"] += 1
     for r in range(1, iterations + 1):
-        new_labels = [
-            _hash_label(labels[v], [labels[u] for u in g.neighbors(v)])
-            for v in range(n)
-        ]
-        labels = new_labels
+        keys = [_escape(label) for label in labels]
+        labels = [_hash_label(keys[v], [keys[u] for u in g.neighbors(v)]) for v in range(n)]
         for v in range(n):
             counts[f"{r}:{labels[v]}"] += 1
     return WlFeatureSet(counts=counts, iterations=iterations, node_count=n)

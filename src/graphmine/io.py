@@ -62,6 +62,15 @@ def _lines(path: str):
             yield lineno, line
 
 
+class _JsonObject(dict):
+    """A decoded JSON object that also keeps its key/value ``pairs`` in file
+    order, repeated keys included (a plain dict keeps only the last)."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
 def _json_int(value) -> int:
     """``value`` if it is a JSON integer; floats, booleans and strings raise."""
     if type(value) is not int:
@@ -123,24 +132,31 @@ def write_edge_list(g: Graph, path: str) -> None:
 # --- memberships ---
 
 def read_membership(path: str) -> dict:
+    """A JSON object of node ids to cluster ids; each node id appears once."""
     text = _read_text(path)
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_JsonObject)
     except json.JSONDecodeError as exc:
         raise InputContractError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
     if not isinstance(raw, dict):
         raise InputContractError(f"{path}: expected an object of node->cluster ids")
     memberships = {}
-    for k, v in raw.items():
+    for i, (k, v) in enumerate(raw.pairs):
         try:
-            memberships[int(k)] = _json_int(v)
+            node, cluster = int(k), _json_int(v)
         except (TypeError, ValueError):
-            # the decoder keeps no positions: report the line of the key
-            at = re.search(re.escape(json.dumps(k, ensure_ascii=False)) + r"\s*:", text)
-            line = text.count("\n", 0, at.start()) + 1 if at else "?"
-            raise InputContractError(
-                f"{path}:{line}: expected an integer node id and cluster id, got {k!r}: {v!r}"
-            )
+            problem = f"expected an integer node id and cluster id, got {k!r}: {v!r}"
+        else:
+            if node not in memberships:
+                memberships[node] = cluster
+                continue
+            problem = f"node {node} appears twice (key {k!r})"
+        # the decoder keeps no positions: report the line of this key, the
+        # same-numbered occurrence of its text
+        nth = sum(key == k for key, _ in raw.pairs[:i])
+        hits = list(re.finditer(re.escape(json.dumps(k, ensure_ascii=False)) + r"\s*:", text))
+        line = text.count("\n", 0, hits[nth].start()) + 1 if nth < len(hits) else "?"
+        raise InputContractError(f"{path}:{line}: {problem}")
     return memberships
 
 
@@ -219,7 +235,7 @@ def read_corpus_jsonl(path: str) -> GraphCorpus:
     any_labels = False
     for lineno, line in _lines(path):
         try:
-            obj = json.loads(line)
+            obj = json.loads(line, object_pairs_hook=_JsonObject)
         except json.JSONDecodeError as exc:
             raise InputContractError(f"{path}:{lineno}: invalid JSON: {exc}")
         if not isinstance(obj, dict) or "edges" not in obj:
@@ -237,11 +253,14 @@ def read_corpus_jsonl(path: str) -> GraphCorpus:
         if fmap is not None:
             any_features = True
             try:
-                fmap = {int(k): str(v) for k, v in fmap.items()}
+                pairs = [(int(k), str(v)) for k, v in fmap.pairs]
             except (AttributeError, ValueError):
                 raise InputContractError(
                     f"{path}:{lineno}: 'features' must map integer node ids to strings"
                 )
+            fmap = dict(pairs)
+            if len(fmap) < len(pairs):
+                raise InputContractError(f"{path}:{lineno}: 'features' gives a node id twice")
         features.append(fmap)
         label = obj.get("label")
         if label is not None:

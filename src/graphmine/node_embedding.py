@@ -4,17 +4,21 @@ Three estimators built from two shared blocks:
 
 * :func:`generate_walks`: truncated uniform random walks, one independent
   random stream per walk so results never depend on execution order.
-* :func:`sgns_train`: skip-gram with negative sampling over a walk corpus.
+* :func:`_train_pairs`: skip-gram with negative sampling on the (center,
+  context) position template it is given, every step from one gradient
+  kernel, :func:`_sgns_steps`.
 
-``DeepWalkModel`` trains on all window co-occurrences, ``WalkletsModel``
-trains one skip-gram per exact offset scale and concatenates, and
-``NetMfModel`` factorizes the log-scaled random-walk proximity matrix
-directly.  Every fit is a pure function of (graph, hyperparameters, seed).
+The two walk models differ only in the template: ``DeepWalkModel`` (through
+:func:`sgns_train`) uses every pair of positions 1..window apart, and
+``WalkletsModel`` trains once per scale s on the positions exactly s apart
+and concatenates.  ``NetMfModel`` factorizes the log-scaled random-walk
+proximity matrix directly.  Every fit is a pure function of (graph,
+hyperparameters, seed).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -26,6 +30,7 @@ from .errors import (
     InputContractError,
     IsolatedNode,
     NoConvergence,
+    OutOfRangeNode,
     RankTooLarge,
 )
 from .graph_core import (
@@ -150,55 +155,52 @@ def sgns_pair_loss(
 def sgns_pair_gradients(
     center: np.ndarray, context: np.ndarray, negatives: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic gradients of :func:`sgns_pair_loss` w.r.t. all three inputs."""
-    s_pos = _stable_sigmoid(np.array([float(center @ context)]))[0]
-    s_neg = _stable_sigmoid(negatives @ center)
-    g_center = (s_pos - 1.0) * context + s_neg @ negatives
-    g_context = (s_pos - 1.0) * center
-    g_negatives = s_neg[:, None] * center[None, :]
-    return g_center, g_context, g_negatives
+    """Analytic gradients of :func:`sgns_pair_loss` w.r.t. all three inputs.
+
+    This is the trainer's own kernel, :func:`_sgns_steps`, on a batch of
+    one pair at rate -1: ``-(-1) * (1 - s)`` is ``s - 1`` exactly.
+    """
+    k, d = negatives.shape
+    out = np.empty((k + 2, d))
+    _sgns_steps(center[None], context[None], negatives[None], np.array([-1.0]), out)
+    return out[0], out[1], out[2:]
+
+
+def _sgns_steps(
+    uc: np.ndarray, vx: np.ndarray, vn: np.ndarray, alphas: np.ndarray, out: np.ndarray
+) -> None:
+    """Write into ``out`` the SGD steps of b pairs, ``-alphas[i]`` times the
+    gradient of pair i's :func:`sgns_pair_loss`: b center rows (from ``uc``,
+    b x d), b context rows (``vx``) and k rows per pair (``vn``, b x k x d)."""
+    b, k, d = vn.shape
+    s_pos = _stable_sigmoid(np.einsum("bd,bd->b", uc, vx))
+    s_neg = _stable_sigmoid(np.einsum("bkd,bd->bk", vn, uc))
+    coef_pos = alphas * (1.0 - s_pos)
+    coef_neg = -alphas[:, None] * s_neg
+    np.multiply(coef_pos[:, None], vx, out=out[:b])
+    out[:b] += np.einsum("bk,bkd->bd", coef_neg, vn)
+    np.multiply(coef_pos[:, None], uc, out=out[b: 2 * b])
+    np.multiply(coef_neg[:, :, None], uc[:, None, :], out=out[2 * b:].reshape(b, k, d))
 
 
 @lru_cache(maxsize=32)
 def _window_template(length: int, window: int) -> tuple[np.ndarray, np.ndarray]:
     """(center, context) position pairs for one walk: every ordered pair at
     distance 1..window, centers left to right."""
-    centers, contexts = [], []
-    for i in range(length):
-        lo = max(0, i - window)
-        hi = min(length - 1, i + window)
-        for j in range(lo, hi + 1):
-            if j != i:
-                centers.append(i)
-                contexts.append(j)
-    return np.array(centers, dtype=np.int64), np.array(contexts, dtype=np.int64)
+    w = min(window, length - 1)
+    offsets = np.concatenate([np.arange(-w, 0), np.arange(1, w + 1)])
+    contexts = np.arange(length)[:, None] + offsets
+    keep = ((contexts >= 0) & (contexts < length)).ravel()
+    return np.repeat(np.arange(length), len(offsets))[keep], contexts.ravel()[keep]
 
 
-def _pair_blocks_window(walks: np.ndarray, window: int):
-    """Yield (centers, contexts) arrays blockwise, in walk-major order."""
-    c_pos, x_pos = _window_template(walks.shape[1], window)
+def _pair_blocks(walks: np.ndarray, template: tuple[np.ndarray, np.ndarray]):
+    """Yield (centers, contexts) node arrays blockwise, in walk-major order:
+    each walk's nodes at the template's center and context positions."""
+    c_pos, x_pos = template
     for start in range(0, walks.shape[0], _WALK_BLOCK):
         block = walks[start: start + _WALK_BLOCK]
         yield block[:, c_pos].ravel(), block[:, x_pos].ravel()
-
-
-def _pair_blocks_offset(walks: np.ndarray, offset: int):
-    """Yield (centers, contexts) for positions exactly ``offset`` apart."""
-    length = walks.shape[1]
-    if offset >= length:
-        return
-    for start in range(0, walks.shape[0], _WALK_BLOCK):
-        block = walks[start: start + _WALK_BLOCK]
-        yield block[:, : length - offset].ravel(), block[:, offset:].ravel()
-
-
-def _count_frequencies(blocks, n: int) -> tuple[np.ndarray, np.ndarray]:
-    center_freq = np.zeros(n, dtype=np.int64)
-    context_freq = np.zeros(n, dtype=np.int64)
-    for centers, contexts in blocks:
-        center_freq += np.bincount(centers, minlength=n)
-        context_freq += np.bincount(contexts, minlength=n)
-    return center_freq, context_freq
 
 
 def _batch_size(
@@ -257,12 +259,12 @@ def _scatter_matrix(rows: int, cols: int):
 
 
 def _train_pairs(
-    blocks_factory,
-    n: int,
-    params: SkipGramParams,
-    total_pairs: int,
+    walks: np.ndarray, n: int, template: tuple[np.ndarray, np.ndarray], params: SkipGramParams
 ) -> np.ndarray:
-    """Minibatch SGD over a stream of (center, context) pairs.
+    """Minibatch SGD over the (center, context) pairs that ``template``
+    picks from each walk, in :func:`_pair_blocks` order (a batch never spans
+    two walk blocks); returns the center table, one row per node.  DeepWalk
+    passes :func:`_window_template`, Walklets the positions s apart.
 
     The learning rate decays linearly from ``learning_rate`` at the first
     pair to 1/100th of it at the last pair across all epochs; each pair in a
@@ -271,25 +273,35 @@ def _train_pairs(
     distribution raised to 0.75.  Everything is single-threaded and seeded.
 
     The center table ``u`` and the context table ``v`` are the two halves
-    of one ``(2n, d)`` table, and each batch adds all its gradients to it
-    with one product ``sel @ grads``.  Column j of the CSC matrix ``sel``
-    holds a single 1.0, in the row that gradient row j updates.  scipy
-    adds the columns in order into a zeroed result, so every row receives
-    its gradients summed left to right in batch order, the sum that two
-    separate products for ``u`` and ``v`` give; no row of ``u`` is a row of
-    ``v``.  Negative draws go through :func:`_bucket_search`, which returns
-    exactly ``np.searchsorted(cum, r)`` for the same random keys.  A table
-    with an entry beyond ``_WEIGHT_BOUND`` in absolute value, or a NaN, at
-    the end raises :class:`NoConvergence`.
+    of one ``(2n, d)`` table.  :func:`_sgns_steps` writes a batch's steps,
+    and one product ``sel @ steps`` adds them all to the table.  Column j
+    of the CSC matrix ``sel`` holds a single 1.0, in the row that step row
+    j updates.  scipy adds the columns in order into a zeroed result, so
+    every row receives its steps summed left to right in batch order, the
+    sum that two separate products for ``u`` and ``v`` give; no row of
+    ``u`` is a row of ``v``.  Negative draws go through
+    :func:`_bucket_search`, which returns exactly ``np.searchsorted(cum, r)``
+    for the same random keys.  A table with an entry beyond
+    ``_WEIGHT_BOUND`` in absolute value, or a NaN, at the end raises
+    :class:`NoConvergence`.
     """
+    total_pairs = walks.shape[0] * len(template[0])
     if total_pairs == 0:
-        raise EmptyCorpus("no training pairs")
+        raise EmptyCorpus(f"no training pairs in walks of shape {walks.shape}")
+    low, high = walks.min(), walks.max()
+    if low < 0 or high >= n:
+        raise OutOfRangeNode(f"walk node {low if low < 0 else high} not in 0..{n - 1}")
     d = params.dimensions
     gen = RandomSource(params.seed, 0).generator()
     table = np.concatenate([(gen.random((n, d)) - 0.5) / d, np.zeros((n, d))])
     u, v = table[:n], table[n:]  # centers, contexts
 
-    center_freq, context_freq = _count_frequencies(blocks_factory(), n)
+    # a comprehension, so that no block outlives the count: the training
+    # loop builds each block again
+    center_freq, context_freq = np.sum(
+        [[np.bincount(nodes, minlength=n) for nodes in pair] for pair in _pair_blocks(walks, template)],
+        axis=0,
+    )
     noise = context_freq.astype(np.float64) ** 0.75
     cum = np.cumsum(noise)
     p_noise = noise / cum[-1]
@@ -300,45 +312,29 @@ def _train_pairs(
 
     alpha0 = params.learning_rate
     alpha_end = alpha0 / 100.0
-    grand_total = total_pairs * params.epochs
-    span = max(grand_total - 1, 1)
+    span = max(total_pairs * params.epochs - 1, 1)
 
-    # gradient rows, in scatter order: [u of cb | v of xb | v of negs]
     buf = np.empty((batch * (neg + 2), d))
     full_sel = _scatter_matrix(2 * n, len(buf))
     done = 0
     for _ in range(params.epochs):
-        for centers, contexts in blocks_factory():
+        for centers, contexts in _pair_blocks(walks, template):
             for lo in range(0, len(centers), batch):
                 cb = centers[lo: lo + batch]
                 xb = contexts[lo: lo + batch]
                 b = len(cb)
-                alphas = alpha0 + (alpha_end - alpha0) * (
-                    (done + np.arange(b)) / span
-                )
+                alphas = alpha0 + (alpha_end - alpha0) * ((done + np.arange(b)) / span)
                 done += b
                 negs = _bucket_search(buckets, cum, gen.random((b, neg)))
-                uc = u[cb]  # b x d
-                vx = v[xb]
-                vn = v[negs]  # b x neg x d
-                s_pos = _stable_sigmoid(np.einsum("bd,bd->b", uc, vx))
-                s_neg = _stable_sigmoid(np.einsum("bkd,bd->bk", vn, uc))
-                coef_pos = alphas * (1.0 - s_pos)
-                coef_neg = -alphas[:, None] * s_neg
                 m = b * (neg + 2)
-                grads = buf[:m]
-                np.multiply(coef_pos[:, None], vx, out=grads[:b])
-                grads[:b] += np.einsum("bk,bkd->bd", coef_neg, vn)
-                np.multiply(coef_pos[:, None], uc, out=grads[b: 2 * b])
-                np.multiply(
-                    coef_neg[:, :, None], uc[:, None, :], out=grads[2 * b:].reshape(b, neg, d)
-                )
+                steps = buf[:m]
+                _sgns_steps(u[cb], v[xb], v[negs], alphas, steps)
                 sel = full_sel if b == batch else _scatter_matrix(2 * n, m)
                 rows = sel.indices
                 rows[:b] = cb
                 np.add(xb, n, out=rows[b: 2 * b])
                 np.add(negs.ravel(), n, out=rows[2 * b:])
-                table += sel @ grads
+                table += sel @ steps
     if not (np.abs(table) <= _WEIGHT_BOUND).all():  # NaN fails the comparison
         raise NoConvergence(
             f"skip-gram training diverged: a weight is NaN or exceeds {_WEIGHT_BOUND:g} "
@@ -352,19 +348,9 @@ def sgns_train(corpus: WalkCorpus, params: SkipGramParams) -> np.ndarray:
 
     Returns the center-vector table, one row per node.
     """
-    if corpus.walks.size == 0:
-        raise EmptyCorpus("empty walk corpus")
     walks = corpus.walks
-    c_pos, _ = _window_template(walks.shape[1], params.window_size)
-    total = walks.shape[0] * len(c_pos)
-    if total == 0:
-        raise EmptyCorpus("window produces no pairs")
-    return _train_pairs(
-        lambda: _pair_blocks_window(walks, params.window_size),
-        corpus.node_count,
-        params,
-        total,
-    )
+    template = _window_template(walks.shape[1], params.window_size)
+    return _train_pairs(walks, corpus.node_count, template, params)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +385,9 @@ def _walk_model_init(dimensions: int, window_size: int):
     return __init__
 
 
-def _skip_gram_params(model) -> SkipGramParams:
-    """Check a walk model's hyperparameters; return its trainer settings."""
+def _skip_gram_setup(model, g: Graph) -> tuple[SkipGramParams, WalkCorpus]:
+    """Check a walk model's hyperparameters; return its trainer settings and
+    its walks on ``g``."""
     model._require_at_least(
         walk_number=1, walk_length=2, dimensions=1, window_size=1,
         negative_samples=0, epochs=1,
@@ -409,14 +396,9 @@ def _skip_gram_params(model) -> SkipGramParams:
         raise InputContractError(
             f"learning_rate must be a positive finite number, got {model.learning_rate!r}"
         )
-    return SkipGramParams(
-        dimensions=model.dimensions,
-        window_size=model.window_size,
-        negative_samples=model.negative_samples,
-        epochs=model.epochs,
-        learning_rate=model.learning_rate,
-        seed=model.seed,
-    )
+    params = SkipGramParams(**{f.name: getattr(model, f.name) for f in fields(SkipGramParams)})
+    rng = RandomSource(model.seed, 0)
+    return params, generate_walks(g, model.walk_number, model.walk_length, rng)
 
 
 class DeepWalkModel(Estimator):
@@ -426,10 +408,7 @@ class DeepWalkModel(Estimator):
     get_embedding = Estimator.getter("embedding")
 
     def fit(self, g: Graph) -> "DeepWalkModel":
-        params = _skip_gram_params(self)
-        corpus = generate_walks(
-            g, self.walk_number, self.walk_length, RandomSource(self.seed, 0)
-        )
+        params, corpus = _skip_gram_setup(self, g)
         self._embedding = sgns_train(corpus, params)
         return self
 
@@ -442,27 +421,15 @@ class WalkletsModel(Estimator):
     get_embedding = Estimator.getter("embedding")
 
     def fit(self, g: Graph) -> "WalkletsModel":
-        params = _skip_gram_params(self)
-        corpus = generate_walks(
-            g, self.walk_number, self.walk_length, RandomSource(self.seed, 0)
-        )
-        walks = corpus.walks
-        parts = []
-        for scale in range(1, self.window_size + 1):
-            if scale >= self.walk_length:
-                raise EmptyCorpus(
-                    f"scale {scale} needs walks longer than {self.walk_length}"
-                )
-            total = walks.shape[0] * (self.walk_length - scale)
-            parts.append(
-                _train_pairs(
-                    lambda s=scale: _pair_blocks_offset(walks, s),
-                    corpus.node_count,
-                    replace(params, seed=self.seed + scale),
-                    total,
-                )
+        params, corpus = _skip_gram_setup(self, g)
+        length = self.walk_length
+        self._embedding = np.concatenate([
+            _train_pairs(
+                corpus.walks, corpus.node_count, (np.arange(length - s), np.arange(s, length)),
+                replace(params, seed=self.seed + s),
             )
-        self._embedding = np.concatenate(parts, axis=1)
+            for s in range(1, self.window_size + 1)
+        ], axis=1)
         return self
 
 

@@ -87,6 +87,15 @@ def test_wl_distinguishes_triangle_from_path():
     assert a != b
 
 
+def test_wl_labels_with_separators_do_not_collide():
+    """One neighbor labelled "a,b" is not two neighbors labelled "a" and "b"."""
+    one = wl_features(build_graph(2, [(0, 1)]), {0: "x", 1: "a,b"}, 1).counts
+    two = wl_features(build_graph(3, [(0, 1), (0, 2)]), {0: "x", 1: "a", 2: "b"}, 1).counts
+    round_one = lambda counts: {key for key in counts if key.startswith("1:")}
+    assert len(round_one(one)) == 2 and len(round_one(two)) == 3
+    assert not round_one(one) & round_one(two)
+
+
 def test_wl_rejects_incomplete_feature_map():
     with pytest.raises(IncompleteFeatureMap):
         wl_features(path_graph(3), {0: "a", 2: "b"}, 1)

@@ -192,11 +192,17 @@ def test_corpus_rejects_malformed_lines(tmp_path):
         (read_membership, "m.json", '{"0": true}\n', 1),
         (read_edge_list, "g.csv", b"\xff\xfe0,1\n", 1),
         (read_labels_csv, "y.csv", b"0\n1\n\xc3\n", 3),
+        (read_membership, "m.json", '{"0": 0,\n "1": 1,\n "01": 0,\n "2": 1}\n', 3),
+        (read_membership, "m.json", '{"1": 0,\n "0": 1,\n "1": 1}\n', 3),
+        (read_corpus_jsonl, "c.jsonl",
+         '{"edges": [[0, 1]]}\n{"edges": [[0, 1]], "features": {"0": "a", "1": "b", "00": "c"}}\n', 2),
+        (read_corpus_jsonl, "c.jsonl", '{"edges": [[0, 1]], "features": {"1": "a", "1": "b"}}\n', 1),
     ],
     ids=["membership-json", "embedding-text", "embedding-nan", "embedding-inf",
          "features-list", "features-key", "label-text", "label-list",
          "label-float", "label-bool", "endpoint-float", "cluster-id-float",
-         "cluster-id-bool", "edge-list-not-utf8", "labels-not-utf8"],
+         "cluster-id-bool", "edge-list-not-utf8", "labels-not-utf8", "membership-same-node",
+         "membership-repeated-key", "features-same-node", "features-repeated-key"],
 )
 def test_readers_raise_typed_errors_with_line_context(tmp_path, reader, name, text, line):
     path = tmp_path / name

@@ -14,6 +14,7 @@ from graphmine import (
     NetMfModel,
     NoConvergence,
     NotFitted,
+    OutOfRangeNode,
     RandomSource,
     RankTooLarge,
     SkipGramParams,
@@ -29,8 +30,8 @@ from graphmine import (
 from graphmine.node_embedding import (
     _bucket_search,
     _bucket_table,
-    _pair_blocks_offset,
-    _pair_blocks_window,
+    _pair_blocks,
+    _sgns_steps,
     _stable_sigmoid,
     _window_template,
 )
@@ -135,6 +136,25 @@ def test_pair_gradients_match_finite_differences():
         assert gradient_gap(g_n, fd_n) < 1e-7
 
 
+def test_batched_steps_keep_pairs_apart():
+    """Row for row, a batch of b pairs at rates alpha_i holds
+    -alpha_i * sgns_pair_gradients(pair i): no pair leaks into another."""
+    gen = RandomSource(29, 0).generator()
+    for b, k, d in [(3, 4, 5), (7, 1, 3), (5, 0, 6)]:
+        uc = gen.standard_normal((b, d))
+        vx = gen.standard_normal((b, d))
+        vn = gen.standard_normal((b, k, d))
+        alphas = gen.random(b) * 0.5 + 0.01
+        out = np.empty((b * (k + 2), d))
+        _sgns_steps(uc, vx, vn, alphas, out)
+        negatives = out[2 * b:].reshape(b, k, d)
+        for i in range(b):
+            g_c, g_x, g_n = sgns_pair_gradients(uc[i], vx[i], vn[i])
+            np.testing.assert_allclose(out[i], -alphas[i] * g_c, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(out[b + i], -alphas[i] * g_x, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(negatives[i], -alphas[i] * g_n, rtol=1e-12, atol=1e-15)
+
+
 def test_pair_loss_survives_extreme_scores():
     big = np.full(4, 50.0)
     assert np.isfinite(sgns_pair_loss(big, big, np.stack([big, -big])))
@@ -171,6 +191,13 @@ def test_trainer_rejects_empty_corpora():
     starts_only = WalkCorpus(walks=np.zeros((3, 1), dtype=np.int64), node_count=4)
     with pytest.raises(EmptyCorpus):
         sgns_train(starts_only, SkipGramParams())
+
+
+def test_trainer_rejects_walk_ids_out_of_range():
+    for bad in (-1, 5):
+        walks = np.array([[0, 1, 2], [2, bad, 1]], dtype=np.int64)
+        with pytest.raises(OutOfRangeNode, match=f"walk node {bad} not in 0..2"):
+            sgns_train(WalkCorpus(walks=walks, node_count=3), SkipGramParams(dimensions=4))
 
 
 def test_trainer_stays_bounded_on_a_hub_graph():
@@ -288,7 +315,8 @@ def test_trainer_bytes_match_the_reference_loop(case):
 
     total = walks.shape[0] * len(_window_template(walk_length, params.window_size)[0])
     want, batch = _reference_train_pairs(
-        lambda: _pair_blocks_window(walks, params.window_size), n, params, total
+        lambda: _pair_blocks(walks, _window_template(walk_length, params.window_size)),
+        n, params, total
     )
     if batch_ok is not None:
         assert batch_ok(batch), batch
@@ -306,7 +334,9 @@ def test_trainer_bytes_match_the_reference_loop(case):
     d = params.dimensions
     for scale in range(1, params.window_size + 1):
         want, _ = _reference_train_pairs(
-            lambda s=scale: _pair_blocks_offset(walks, s), n,
+            lambda s=scale: _pair_blocks(
+                walks, (np.arange(walk_length - s), np.arange(s, walk_length))
+            ), n,
             replace(params, seed=params.seed + scale), walks.shape[0] * (walk_length - scale),
         )
         assert np.array_equal(emb[:, (scale - 1) * d: scale * d], want), scale
