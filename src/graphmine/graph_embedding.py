@@ -88,10 +88,10 @@ def wl_features(g: Graph, features: dict | None, iterations: int) -> WlFeatureSe
     """Iterated neighborhood-refinement string features.
 
     Round 0 labels are the provided per-node strings, or the decimal degree
-    when no map is given.  Each later round hashes a node's own label
-    together with its sorted neighbor labels, each escaped by
-    :func:`_escape`, into a stable 64-bit hex string.  All rounds
-    contribute to the returned multiset.
+    when no map is given; round 1 hashes them escaped by :func:`_escape`.
+    Each round hashes a node's own label together with its sorted neighbor
+    labels into a stable 64-bit hex string.  All rounds contribute to the
+    returned multiset.
     """
     n = g.node_count
     if features is not None:
@@ -104,9 +104,9 @@ def wl_features(g: Graph, features: dict | None, iterations: int) -> WlFeatureSe
     counts: Counter = Counter()
     for v in range(n):
         counts[f"0:{labels[v]}"] += 1
+    keys = [_escape(label) for label in labels]  # later rounds' hex labels need none
     for r in range(1, iterations + 1):
-        keys = [_escape(label) for label in labels]
-        labels = [_hash_label(keys[v], [keys[u] for u in g.neighbors(v)]) for v in range(n)]
+        labels = keys = [_hash_label(keys[v], [keys[u] for u in g.neighbors(v)]) for v in range(n)]
         for v in range(n):
             counts[f"{r}:{labels[v]}"] += 1
     return WlFeatureSet(counts=counts, iterations=iterations, node_count=n)

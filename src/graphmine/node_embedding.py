@@ -8,17 +8,16 @@ Three estimators built from two shared blocks:
   context) position template it is given, every step from one gradient
   kernel, :func:`_sgns_steps`.
 
-The two walk models differ only in the template: ``DeepWalkModel`` (through
-:func:`sgns_train`) uses every pair of positions 1..window apart, and
-``WalkletsModel`` trains once per scale s on the positions exactly s apart
-and concatenates.  ``NetMfModel`` factorizes the log-scaled random-walk
-proximity matrix directly.  Every fit is a pure function of (graph,
-hyperparameters, seed).
+The two walk models differ only in the template: ``DeepWalkModel`` pairs
+every two positions 1..window apart, ``WalkletsModel`` trains once per
+scale s on the positions exactly s apart and concatenates.  ``NetMfModel``
+factorizes the log-scaled random-walk proximity matrix directly.  Every
+fit is a pure function of (graph, hyperparameters, seed).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -203,6 +202,13 @@ def _pair_blocks(walks: np.ndarray, template: tuple[np.ndarray, np.ndarray]):
         yield block[:, c_pos].ravel(), block[:, x_pos].ravel()
 
 
+def _position_counts(walks: np.ndarray, positions: np.ndarray, n: int) -> np.ndarray:
+    """Node counts over ``walks[:, positions]`` without building it: one
+    bincount per walk column, times the column's repeats in ``positions``."""
+    repeats = np.bincount(positions, minlength=walks.shape[1])
+    return sum(k * np.bincount(walks[:, p], minlength=n) for p, k in enumerate(repeats) if k)
+
+
 def _batch_size(
     center_freq: np.ndarray,
     context_freq: np.ndarray,
@@ -296,12 +302,7 @@ def _train_pairs(
     table = np.concatenate([(gen.random((n, d)) - 0.5) / d, np.zeros((n, d))])
     u, v = table[:n], table[n:]  # centers, contexts
 
-    # a comprehension, so that no block outlives the count: the training
-    # loop builds each block again
-    center_freq, context_freq = np.sum(
-        [[np.bincount(nodes, minlength=n) for nodes in pair] for pair in _pair_blocks(walks, template)],
-        axis=0,
-    )
+    center_freq, context_freq = (_position_counts(walks, positions, n) for positions in template)
     noise = context_freq.astype(np.float64) ** 0.75
     cum = np.cumsum(noise)
     p_noise = noise / cum[-1]
@@ -344,10 +345,8 @@ def _train_pairs(
 
 
 def sgns_train(corpus: WalkCorpus, params: SkipGramParams) -> np.ndarray:
-    """Train skip-gram with negative sampling on all window co-occurrences.
-
-    Returns the center-vector table, one row per node.
-    """
+    """Skip-gram with negative sampling on all window co-occurrences of
+    ``corpus``; returns the center-vector table, one row per node."""
     walks = corpus.walks
     template = _window_template(walks.shape[1], params.window_size)
     return _train_pairs(walks, corpus.node_count, template, params)
@@ -396,7 +395,11 @@ def _skip_gram_setup(model, g: Graph) -> tuple[SkipGramParams, WalkCorpus]:
         raise InputContractError(
             f"learning_rate must be a positive finite number, got {model.learning_rate!r}"
         )
-    params = SkipGramParams(**{f.name: getattr(model, f.name) for f in fields(SkipGramParams)})
+    params = SkipGramParams(
+        dimensions=model.dimensions, window_size=model.window_size,
+        negative_samples=model.negative_samples, epochs=model.epochs,
+        learning_rate=model.learning_rate, seed=model.seed,
+    )
     rng = RandomSource(model.seed, 0)
     return params, generate_walks(g, model.walk_number, model.walk_length, rng)
 

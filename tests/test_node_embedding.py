@@ -193,6 +193,15 @@ def test_trainer_rejects_empty_corpora():
         sgns_train(starts_only, SkipGramParams())
 
 
+def test_window_template_lists_every_pair_within_the_window():
+    for length, window in [(1, 3), (2, 1), (5, 2), (6, 10), (10, 3), (80, 5)]:
+        want = [
+            (i, j) for i in range(length) for j in range(length) if 0 < abs(i - j) <= window
+        ]
+        centers, contexts = _window_template(length, window)
+        assert list(zip(centers.tolist(), contexts.tolist())) == want, (length, window)
+
+
 def test_trainer_rejects_walk_ids_out_of_range():
     for bad in (-1, 5):
         walks = np.array([[0, 1, 2], [2, bad, 1]], dtype=np.int64)
@@ -302,6 +311,9 @@ _PIN_CASES = {
     ),
     "two-epochs": (
         random_connected(40, 100, 5), 2, 10, dict(window_size=3, epochs=2), None,
+    ),
+    "three-walk-blocks": (  # 4,400 walks: pair counts sum over 2048-walk blocks
+        cycle_graph(1100), 4, 6, dict(window_size=2), None,
     ),
 }
 
