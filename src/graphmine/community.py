@@ -95,23 +95,29 @@ class LabelPropagationModel(Estimator):
         require_connected(g)
         n = g.node_count
         gen = RandomSource(self.seed, 0).generator()
-        labels = np.arange(n, dtype=np.int64)
+        # plain lists: a visit counts its neighbors' labels in a dict, in
+        # O(degree), where an array count would cost O(largest label)
+        offsets, targets = g.offsets.tolist(), g.targets.tolist()
+        nbrs = [targets[offsets[v]: offsets[v + 1]] for v in range(n)]
+        labels = list(range(n))
         for _ in range(self.max_iterations):
             changed = False
-            for v in gen.permutation(n):
-                nbr_labels = labels[g.neighbors(v)]
-                if nbr_labels.size == 0:
+            for v in gen.permutation(n).tolist():
+                counts: dict = {}
+                for u in nbrs[v]:
+                    label = labels[u]
+                    counts[label] = counts.get(label, 0) + 1
+                if not counts:
                     continue
-                counts = np.bincount(nbr_labels)
-                best = np.flatnonzero(counts == counts.max())
-                if labels[v] in best:
+                top = max(counts.values())
+                if counts.get(labels[v]) == top:
                     continue
-                pick = best[0] if best.size == 1 else best[gen.integers(0, best.size)]
-                labels[v] = pick
+                best = sorted(label for label, c in counts.items() if c == top)
+                labels[v] = best[0] if len(best) == 1 else best[gen.integers(0, len(best))]
                 changed = True
             if not changed:
                 break
-        self._memberships = canonicalize_memberships({v: int(labels[v]) for v in range(n)})
+        self._memberships = canonicalize_memberships(dict(enumerate(labels)))
         return self
 
 
@@ -282,33 +288,35 @@ class SymNmfModel(Estimator):
 
         a_fro2 = 2.0 * g.edge_count  # sum of squared 0/1 adjacency entries
 
-        def loss(h: np.ndarray) -> float:
+        def loss(h: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+            """The loss at h, and the products A H and H^T H it is built from,
+            which the next update step reuses once h is accepted."""
             # ||A - HH^T||_F^2 = ||A||_F^2 - 2 sum_edges (HH^T)_uv + ||H^T H||_F^2
             gram = h.T @ h
-            cross = float(np.sum((a @ h) * h))
-            return a_fro2 - 2.0 * cross + float(np.sum(gram * gram))
+            ah = a @ h
+            value = a_fro2 - 2.0 * float(np.sum(ah * h)) + float(np.sum(gram * gram))
+            return value, ah, gram
 
         eps = 1e-10
-        losses = [loss(h)]
+        current, ah, gram = loss(h)
+        losses = [current]
         for _ in range(self.iterations):
-            numer = a @ h
-            denom = h @ (h.T @ h) + eps
-            ratio = numer / denom
+            ratio = ah / (h @ gram + eps)
             # damped multiplicative step; the damping share is halved until the
             # loss stops increasing (share zero recovers the current iterate),
             # so the recorded sequence is nonincreasing by construction
             gamma = 0.5
-            current = losses[-1]
             candidate = h * ((1.0 - gamma) + gamma * ratio)
-            cand_loss = loss(candidate)
-            while cand_loss > current and gamma > 1e-6:
+            scored = loss(candidate)
+            while scored[0] > current and gamma > 1e-6:
                 gamma *= 0.5
                 candidate = h * ((1.0 - gamma) + gamma * ratio)
-                cand_loss = loss(candidate)
-            if cand_loss > current:
-                candidate, cand_loss = h, current
+                scored = loss(candidate)
+            if scored[0] > current:
+                candidate, scored = h, (current, ah, gram)
             h = candidate
-            losses.append(cand_loss)
+            current, ah, gram = scored
+            losses.append(current)
             if losses[-2] > 0:
                 if abs(losses[-2] - losses[-1]) / max(losses[-2], eps) < self.tolerance:
                     break

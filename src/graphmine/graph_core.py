@@ -13,10 +13,10 @@ every platform, and makes independent child streams cheap to derive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse as _sp
 
 from .errors import (
     ConnectivityRetryExhausted,
@@ -29,6 +29,9 @@ from .errors import (
     SelfLoop,
     TooManyEdges,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse as _sp
 
 __all__ = [
     "Estimator",
@@ -44,6 +47,18 @@ __all__ = [
     "triangle_matrix",
     "triangles_per_node",
 ]
+
+
+def _sparse():
+    """``scipy.sparse``, imported on the first call.
+
+    Importing it takes about a quarter of a second, so only the code that
+    builds a sparse matrix pays for it: reading, generating, propagating
+    labels over and scoring graphs never loads it.
+    """
+    from scipy import sparse
+
+    return sparse
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +145,7 @@ class Graph:
 
     def adjacency_scipy(self) -> _sp.csr_matrix:
         """The 0/1 adjacency matrix as a scipy CSR (float64)."""
-        return _sp.csr_matrix(
+        return _sparse().csr_matrix(
             (np.ones(len(self.targets)), self.targets, self.offsets),
             shape=(self.node_count, self.node_count),
         )
@@ -319,7 +334,7 @@ def transition_matrix(g: Graph) -> _sp.csr_matrix:
     deg = _require_no_isolated(g)
     values = 1.0 / np.repeat(deg, g.degrees)
     n = g.node_count
-    return _sp.csr_matrix((values, g.targets.copy(), g.offsets.copy()), shape=(n, n))
+    return _sparse().csr_matrix((values, g.targets.copy(), g.offsets.copy()), shape=(n, n))
 
 
 def normalized_laplacian(g: Graph) -> _sp.csr_matrix:
@@ -332,8 +347,9 @@ def normalized_laplacian(g: Graph) -> _sp.csr_matrix:
     inv_sqrt = 1.0 / np.sqrt(deg)
     rows_rep = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
     off_values = -inv_sqrt[rows_rep] * inv_sqrt[g.targets]
-    off = _sp.csr_matrix((off_values, g.targets, g.offsets), shape=(n, n))
-    return _sp.eye(n, format="csr") + off
+    sparse = _sparse()
+    off = sparse.csr_matrix((off_values, g.targets, g.offsets), shape=(n, n))
+    return sparse.eye(n, format="csr") + off
 
 
 def triangle_matrix(g: Graph) -> _sp.csr_matrix:

@@ -14,13 +14,13 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse as _sp
 
 from .errors import EmptyCorpus, GraphTooLarge, IncompleteFeatureMap
 from .graph_core import (
     Estimator,
     Graph,
     RandomSource,
+    _sparse,
     normalized_laplacian,
     require_connected,
 )
@@ -210,7 +210,7 @@ class WlSvdModel(Estimator):
                 cols.append(j)
                 vals.append(float(cnt))
                 df[j] += 1.0
-        tf = _sp.csr_matrix(
+        tf = _sparse().csr_matrix(
             (vals, (rows, cols)), shape=(n_graphs, len(vocabulary))
         )
         idf = np.log(n_graphs / df)

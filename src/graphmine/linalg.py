@@ -12,12 +12,15 @@ count; across thread counts they may differ in the last bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse as _sp
 
 from .errors import MatrixTooLarge, NoConvergence, NotSymmetric, RankTooLarge
-from .graph_core import RandomSource
+from .graph_core import RandomSource, _sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse as _sp
 
 __all__ = [
     "EigenDecomposition",
@@ -106,7 +109,7 @@ def randomized_svd(a: _sp.spmatrix, k: int, rng: RandomSource) -> SvdResult:
     rows, cols = a.shape
     if k < 1 or k > min(rows, cols):
         raise RankTooLarge(f"rank {k} not in 1..{min(rows, cols)}")
-    m = _sp.csr_matrix(a, dtype=np.float64, copy=True)
+    m = _sparse().csr_matrix(a, dtype=np.float64, copy=True)
     m.sort_indices()
     sketch = min(k + 10, min(rows, cols))
     gen = rng.generator()

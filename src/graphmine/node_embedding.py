@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse as _sp
 
 from .errors import (
     EmptyCorpus,
@@ -36,6 +35,7 @@ from .graph_core import (
     Estimator,
     Graph,
     RandomSource,
+    _sparse,
     require_connected,
     transition_matrix,
 )
@@ -258,7 +258,7 @@ def _bucket_search(table: np.ndarray, cum: np.ndarray, r: np.ndarray) -> np.ndar
 def _scatter_matrix(rows: int, cols: int):
     """A ``rows x cols`` CSC matrix with a single 1.0 in each column; the
     caller writes each column's row into ``.indices``."""
-    return _sp.csc_matrix(
+    return _sparse().csc_matrix(
         (np.ones(cols), np.zeros(cols, dtype=np.int64), np.arange(cols + 1)),
         shape=(rows, cols),
     )
@@ -384,9 +384,8 @@ def _walk_model_init(dimensions: int, window_size: int):
     return __init__
 
 
-def _skip_gram_setup(model, g: Graph) -> tuple[SkipGramParams, WalkCorpus]:
-    """Check a walk model's hyperparameters; return its trainer settings and
-    its walks on ``g``."""
+def _skip_gram_params(model) -> SkipGramParams:
+    """Check a walk model's hyperparameters; return its trainer settings."""
     model._require_at_least(
         walk_number=1, walk_length=2, dimensions=1, window_size=1,
         negative_samples=0, epochs=1,
@@ -395,13 +394,11 @@ def _skip_gram_setup(model, g: Graph) -> tuple[SkipGramParams, WalkCorpus]:
         raise InputContractError(
             f"learning_rate must be a positive finite number, got {model.learning_rate!r}"
         )
-    params = SkipGramParams(
+    return SkipGramParams(
         dimensions=model.dimensions, window_size=model.window_size,
         negative_samples=model.negative_samples, epochs=model.epochs,
         learning_rate=model.learning_rate, seed=model.seed,
     )
-    rng = RandomSource(model.seed, 0)
-    return params, generate_walks(g, model.walk_number, model.walk_length, rng)
 
 
 class DeepWalkModel(Estimator):
@@ -411,7 +408,8 @@ class DeepWalkModel(Estimator):
     get_embedding = Estimator.getter("embedding")
 
     def fit(self, g: Graph) -> "DeepWalkModel":
-        params, corpus = _skip_gram_setup(self, g)
+        params = _skip_gram_params(self)
+        corpus = generate_walks(g, self.walk_number, self.walk_length, RandomSource(self.seed, 0))
         self._embedding = sgns_train(corpus, params)
         return self
 
@@ -424,8 +422,13 @@ class WalkletsModel(Estimator):
     get_embedding = Estimator.getter("embedding")
 
     def fit(self, g: Graph) -> "WalkletsModel":
-        params, corpus = _skip_gram_setup(self, g)
+        params = _skip_gram_params(self)
         length = self.walk_length
+        if self.window_size >= length:  # scale `length` has no pairs; fail before the walks
+            raise EmptyCorpus(
+                f"window_size {self.window_size} needs walks longer than it, got walk_length {length}"
+            )
+        corpus = generate_walks(g, self.walk_number, length, RandomSource(self.seed, 0))
         self._embedding = np.concatenate([
             _train_pairs(
                 corpus.walks, corpus.node_count, (np.arange(length - s), np.arange(s, length)),
@@ -470,13 +473,14 @@ class NetMfModel(Estimator):
             raise RankTooLarge(f"dimensions {self.dimensions} not in 1..{n}")
         deg = g.degrees.astype(np.float64)
         vol = float(deg.sum())
-        d_inv = _sp.diags(1.0 / deg)
+        sparse = _sparse()
+        d_inv = sparse.diags(1.0 / deg)
         power = acc = p
         for _ in range(2, self.order + 1):
             power = power @ p
             acc = acc + power
         m = (vol / (self.negatives * self.order)) * (acc @ d_inv)
-        m = _sp.csr_matrix(m)
+        m = sparse.csr_matrix(m)
         # log of entries clamped to >= 1: entries <= 1 map to exactly 0,
         # so sparsity is preserved without approximation
         m.data = np.log(np.maximum(m.data, 1.0))

@@ -16,7 +16,14 @@ from graphmine import (
     modularity,
     nmi,
 )
-from builders import complete_graph, path_graph, star_graph, triangle_pair, two_cliques
+from builders import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    star_graph,
+    triangle_pair,
+    two_cliques,
+)
 from oracles import modularity_reference
 
 
@@ -114,6 +121,47 @@ def test_lp_not_fitted_guard():
         LabelPropagationModel().get_memberships()
 
 
+def _lp_reference(g, seed, max_iterations):
+    """Frozen label propagation loop that counts each node's neighbor labels
+    with ``np.bincount``; the model must give the same memberships."""
+    n = g.node_count
+    gen = RandomSource(seed, 0).generator()
+    labels = np.arange(n, dtype=np.int64)
+    for _ in range(max_iterations):
+        changed = False
+        for v in gen.permutation(n):
+            nbr_labels = labels[g.neighbors(v)]
+            if nbr_labels.size == 0:
+                continue
+            counts = np.bincount(nbr_labels)
+            best = np.flatnonzero(counts == counts.max())
+            if labels[v] in best:
+                continue
+            pick = best[0] if best.size == 1 else best[gen.integers(0, best.size)]
+            labels[v] = pick
+            changed = True
+        if not changed:
+            break
+    return canonicalize_memberships({v: int(labels[v]) for v in range(n)})
+
+
+def _hub_heavy(n, m, seed):
+    """A G(n, m) with node 0 joined to every other node."""
+    edges = set(erdos_renyi_gnm(n, m, RandomSource(seed, 0)).edges())
+    return build_graph(n, edges | {(0, v) for v in range(1, n)})
+
+
+def test_lp_matches_the_bincount_reference_exactly():
+    # graphs full of ties, so the seeded tie-break draws run often
+    k33 = build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    graphs = [star_graph(9), cycle_graph(12), k33, _hub_heavy(80, 160, 3), build_graph(1, [])]
+    for g in graphs:
+        for seed in (0, 1, 7, 42):
+            for max_iterations in (1, 2, 100):
+                got = LabelPropagationModel(seed=seed, max_iterations=max_iterations).fit(g)
+                assert got.get_memberships() == _lp_reference(g, seed, max_iterations)
+
+
 # --- greedy triangle clustering ---
 
 def test_scd_splits_bridged_triangles():
@@ -204,6 +252,75 @@ def test_symnmf_rejects_bad_rank():
         SymNmfModel(dimensions=5).fit(g)
     with pytest.raises(RankTooLarge):
         SymNmfModel(dimensions=0).fit(g)
+
+
+def _symnmf_reference(g, dimensions, iterations, tolerance, seed):
+    """Frozen SymNMF fit that computes A H and H^T H anew for every update
+    and every loss; returns (H, loss history, memberships, rejected steps)."""
+    n = g.node_count
+    k = dimensions
+    a = g.adjacency_scipy()
+    gen = RandomSource(seed, 0).generator()
+    mean_a = 2.0 * g.edge_count / float(n * n)
+    h = gen.random((n, k)) * np.sqrt(mean_a / k)
+    a_fro2 = 2.0 * g.edge_count
+
+    def loss(h):
+        gram = h.T @ h
+        cross = float(np.sum((a @ h) * h))
+        return a_fro2 - 2.0 * cross + float(np.sum(gram * gram))
+
+    eps = 1e-10
+    losses = [loss(h)]
+    rejected = 0
+    for _ in range(iterations):
+        numer = a @ h
+        denom = h @ (h.T @ h) + eps
+        ratio = numer / denom
+        gamma = 0.5
+        current = losses[-1]
+        candidate = h * ((1.0 - gamma) + gamma * ratio)
+        cand_loss = loss(candidate)
+        while cand_loss > current and gamma > 1e-6:
+            gamma *= 0.5
+            candidate = h * ((1.0 - gamma) + gamma * ratio)
+            cand_loss = loss(candidate)
+        if cand_loss > current:
+            candidate, cand_loss = h, current
+            rejected += 1
+        h = candidate
+        losses.append(cand_loss)
+        if losses[-2] > 0:
+            if abs(losses[-2] - losses[-1]) / max(losses[-2], eps) < tolerance:
+                break
+    argmax_gen = RandomSource(seed, 1).generator()
+    assignments = {}
+    for v in range(n):
+        row = h[v]
+        best = np.flatnonzero(row == row.max())
+        pick = best[0] if best.size == 1 else best[argmax_gen.integers(0, best.size)]
+        assignments[v] = int(pick)
+    return h, losses, canonicalize_memberships(assignments), rejected
+
+
+def test_symnmf_matches_the_recomputing_reference_exactly():
+    cases = [
+        # backtracking rejects the last 24 of the 300 steps; steps taken
+        # from a rejected candidate's products would be accepted here
+        (triangle_pair(), dict(dimensions=3, iterations=300, tolerance=0.0, seed=0)),
+        # stops early on the tolerance, after 116 steps
+        (erdos_renyi_gnm(30, 60, RandomSource(3, 0), connected=True),
+         dict(dimensions=2, iterations=500, tolerance=1e-6, seed=0)),
+    ]
+    paths = []
+    for g, params in cases:
+        h, losses, memberships, rejected = _symnmf_reference(g, **params)
+        model = SymNmfModel(**params).fit(g)
+        assert np.array_equal(model.get_embedding(), h)
+        assert np.array_equal(model.loss_history_, losses)
+        assert model.get_memberships() == memberships
+        paths.append((rejected, len(losses)))
+    assert paths == [(24, 301), (0, 117)]
 
 
 def test_symnmf_not_fitted_guard():

@@ -27,6 +27,7 @@ from graphmine import (
     sgns_pair_loss,
     sgns_train,
 )
+from graphmine import node_embedding
 from graphmine.node_embedding import (
     _bucket_search,
     _bucket_table,
@@ -423,6 +424,21 @@ def test_walklets_rejects_scales_beyond_walk_length():
     g = erdos_renyi_gnm(8, 14, RandomSource(1, 0), connected=True)
     with pytest.raises(EmptyCorpus):
         WalkletsModel(walk_number=1, walk_length=3, window_size=4, dimensions=4).fit(g)
+
+
+def test_walklets_rejects_scales_beyond_walk_length_before_drawing_walks(monkeypatch):
+    g = erdos_renyi_gnm(8, 14, RandomSource(1, 0), connected=True)
+    # the largest scale that still has pairs trains
+    emb = WalkletsModel(walk_number=1, walk_length=4, window_size=3, dimensions=2).fit(g)
+    assert emb.get_embedding().shape == (8, 6)
+
+    def no_walks(*args):
+        raise AssertionError("walks drawn for a window no walk can hold")
+
+    monkeypatch.setattr(node_embedding, "generate_walks", no_walks)
+    for window in (40, 45):
+        with pytest.raises(EmptyCorpus, match="window_size"):
+            WalkletsModel(walk_number=4, walk_length=40, window_size=window).fit(g)
 
 
 def test_netmf_singular_values_match_dense_reference():

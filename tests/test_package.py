@@ -4,6 +4,8 @@ import contextlib
 import importlib
 import io
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import graphmine
@@ -32,3 +34,35 @@ def test_readme_quick_start_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], "README.md", "exec"), {})
     assert out.getvalue().splitlines()[-1] == "(200, 32)"
+
+
+# Commands that build no sparse matrix, so they must not pay for scipy.sparse.
+_NO_SPARSE_SCRIPT = """
+import os, sys
+import numpy as np
+import graphmine
+assert "scipy.sparse" not in sys.modules, "import graphmine"
+import graphmine.cli
+assert "scipy.sparse" not in sys.modules, "import graphmine.cli"
+path = lambda name: os.path.join(sys.argv[1], name)
+gen = np.random.default_rng(0)
+graphmine.write_embedding_csv(gen.random((24, 3)), path("emb.csv"))
+graphmine.write_labels_csv([i % 2 for i in range(24)], path("y.csv"))
+for argv in (
+    ["generate", "--nodes", "24", "--edges", "60", "--seed", "2", "--connected", "--out", path("g.csv")],
+    ["cluster", "--algo", "label-propagation", "--graph", path("g.csv"), "--out", path("lp.json")],
+    ["eval", "nmi", "--a", path("lp.json"), "--b", path("lp.json"), "--out", path("nmi.txt")],
+    ["eval", "modularity", "--graph", path("g.csv"), "--membership", path("lp.json"), "--out", path("q.txt")],
+    ["eval", "classify", "--embedding", path("emb.csv"), "--labels", path("y.csv"), "--out", path("auc.txt")],
+):
+    assert graphmine.cli.main(argv) == 0, argv
+    assert "scipy.sparse" not in sys.modules, argv
+"""
+
+
+def test_import_and_sparse_free_commands_leave_scipy_sparse_unloaded(tmp_path):
+    res = subprocess.run(
+        [sys.executable, "-c", _NO_SPARSE_SCRIPT, str(tmp_path)], capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "auc.txt").exists()
