@@ -52,9 +52,9 @@ __all__ = [
 def _sparse():
     """``scipy.sparse``, imported on the first call.
 
-    Importing it takes about a quarter of a second, so only the code that
-    builds a sparse matrix pays for it: reading, generating, propagating
-    labels over and scoring graphs never loads it.
+    Importing it costs about as much again as importing numpy, so only the
+    code that builds a sparse matrix pays for it: reading, generating,
+    propagating labels over and scoring graphs never loads it.
     """
     from scipy import sparse
 

@@ -384,8 +384,9 @@ def _walk_model_init(dimensions: int, window_size: int):
     return __init__
 
 
-def _skip_gram_params(model) -> SkipGramParams:
-    """Check a walk model's hyperparameters; return its trainer settings."""
+def _skip_gram_setup(model, g: Graph) -> tuple[SkipGramParams, WalkCorpus]:
+    """Check a walk model's hyperparameters; return its trainer settings and
+    its walks on ``g``."""
     model._require_at_least(
         walk_number=1, walk_length=2, dimensions=1, window_size=1,
         negative_samples=0, epochs=1,
@@ -394,11 +395,13 @@ def _skip_gram_params(model) -> SkipGramParams:
         raise InputContractError(
             f"learning_rate must be a positive finite number, got {model.learning_rate!r}"
         )
-    return SkipGramParams(
+    params = SkipGramParams(
         dimensions=model.dimensions, window_size=model.window_size,
         negative_samples=model.negative_samples, epochs=model.epochs,
         learning_rate=model.learning_rate, seed=model.seed,
     )
+    rng = RandomSource(model.seed, 0)
+    return params, generate_walks(g, model.walk_number, model.walk_length, rng)
 
 
 class DeepWalkModel(Estimator):
@@ -408,8 +411,7 @@ class DeepWalkModel(Estimator):
     get_embedding = Estimator.getter("embedding")
 
     def fit(self, g: Graph) -> "DeepWalkModel":
-        params = _skip_gram_params(self)
-        corpus = generate_walks(g, self.walk_number, self.walk_length, RandomSource(self.seed, 0))
+        params, corpus = _skip_gram_setup(self, g)
         self._embedding = sgns_train(corpus, params)
         return self
 
@@ -422,13 +424,14 @@ class WalkletsModel(Estimator):
     get_embedding = Estimator.getter("embedding")
 
     def fit(self, g: Graph) -> "WalkletsModel":
-        params = _skip_gram_params(self)
-        length = self.walk_length
-        if self.window_size >= length:  # scale `length` has no pairs; fail before the walks
+        # scale walk_length has no pairs: known before any walk is drawn
+        if self.window_size >= self.walk_length:
             raise EmptyCorpus(
-                f"window_size {self.window_size} needs walks longer than it, got walk_length {length}"
+                f"window_size {self.window_size} needs walks longer than it, "
+                f"got walk_length {self.walk_length}"
             )
-        corpus = generate_walks(g, self.walk_number, length, RandomSource(self.seed, 0))
+        params, corpus = _skip_gram_setup(self, g)
+        length = self.walk_length
         self._embedding = np.concatenate([
             _train_pairs(
                 corpus.walks, corpus.node_count, (np.arange(length - s), np.arange(s, length)),

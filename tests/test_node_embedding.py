@@ -420,13 +420,7 @@ def test_walklets_concatenates_one_block_per_scale():
     assert not np.array_equal(emb[:, 0:5], emb[:, 5:10])
 
 
-def test_walklets_rejects_scales_beyond_walk_length():
-    g = erdos_renyi_gnm(8, 14, RandomSource(1, 0), connected=True)
-    with pytest.raises(EmptyCorpus):
-        WalkletsModel(walk_number=1, walk_length=3, window_size=4, dimensions=4).fit(g)
-
-
-def test_walklets_rejects_scales_beyond_walk_length_before_drawing_walks(monkeypatch):
+def test_walklets_rejects_scales_beyond_walk_length(monkeypatch):
     g = erdos_renyi_gnm(8, 14, RandomSource(1, 0), connected=True)
     # the largest scale that still has pairs trains
     emb = WalkletsModel(walk_number=1, walk_length=4, window_size=3, dimensions=2).fit(g)
@@ -435,10 +429,11 @@ def test_walklets_rejects_scales_beyond_walk_length_before_drawing_walks(monkeyp
     def no_walks(*args):
         raise AssertionError("walks drawn for a window no walk can hold")
 
+    # the error comes before any walk is drawn
     monkeypatch.setattr(node_embedding, "generate_walks", no_walks)
-    for window in (40, 45):
+    for length, window in ((3, 4), (40, 40), (40, 45)):
         with pytest.raises(EmptyCorpus, match="window_size"):
-            WalkletsModel(walk_number=4, walk_length=40, window_size=window).fit(g)
+            WalkletsModel(walk_number=4, walk_length=length, window_size=window).fit(g)
 
 
 def test_netmf_singular_values_match_dense_reference():

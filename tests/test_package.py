@@ -48,14 +48,14 @@ path = lambda name: os.path.join(sys.argv[1], name)
 gen = np.random.default_rng(0)
 graphmine.write_embedding_csv(gen.random((24, 3)), path("emb.csv"))
 graphmine.write_labels_csv([i % 2 for i in range(24)], path("y.csv"))
-for argv in (
-    ["generate", "--nodes", "24", "--edges", "60", "--seed", "2", "--connected", "--out", path("g.csv")],
-    ["cluster", "--algo", "label-propagation", "--graph", path("g.csv"), "--out", path("lp.json")],
-    ["eval", "nmi", "--a", path("lp.json"), "--b", path("lp.json"), "--out", path("nmi.txt")],
-    ["eval", "modularity", "--graph", path("g.csv"), "--membership", path("lp.json"), "--out", path("q.txt")],
-    ["eval", "classify", "--embedding", path("emb.csv"), "--labels", path("y.csv"), "--out", path("auc.txt")],
+for argv, out in (
+    (["generate", "--nodes", "24", "--edges", "60", "--seed", "2", "--connected"], "g.csv"),
+    (["cluster", "--algo", "label-propagation", "--graph", path("g.csv")], "lp.json"),
+    (["eval", "nmi", "--a", path("lp.json"), "--b", path("lp.json")], "nmi.txt"),
+    (["eval", "modularity", "--graph", path("g.csv"), "--membership", path("lp.json")], "q.txt"),
+    (["eval", "classify", "--embedding", path("emb.csv"), "--labels", path("y.csv")], "auc.txt"),
 ):
-    assert graphmine.cli.main(argv) == 0, argv
+    assert graphmine.cli.main(argv + ["--out", path(out)]) == 0, argv
     assert "scipy.sparse" not in sys.modules, argv
 """
 
