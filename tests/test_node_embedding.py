@@ -423,8 +423,8 @@ def test_walklets_concatenates_one_block_per_scale():
 def test_walklets_rejects_scales_beyond_walk_length(monkeypatch):
     g = erdos_renyi_gnm(8, 14, RandomSource(1, 0), connected=True)
     # the largest scale that still has pairs trains
-    emb = WalkletsModel(walk_number=1, walk_length=4, window_size=3, dimensions=2).fit(g)
-    assert emb.get_embedding().shape == (8, 6)
+    model = WalkletsModel(walk_number=1, walk_length=4, window_size=3, dimensions=2).fit(g)
+    assert model.get_embedding().shape == (8, 6)
 
     def no_walks(*args):
         raise AssertionError("walks drawn for a window no walk can hold")
