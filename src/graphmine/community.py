@@ -97,8 +97,7 @@ class LabelPropagationModel(Estimator):
         gen = RandomSource(self.seed, 0).generator()
         # plain lists: a visit counts its neighbors' labels in a dict, in
         # O(degree), where an array count would cost O(largest label)
-        offsets, targets = g.offsets.tolist(), g.targets.tolist()
-        nbrs = [targets[offsets[v]: offsets[v + 1]] for v in range(n)]
+        nbrs = g.neighbor_lists()
         labels = list(range(n))
         for _ in range(self.max_iterations):
             changed = False
@@ -125,37 +124,6 @@ class LabelPropagationModel(Estimator):
 # triangle-driven greedy clustering
 # ---------------------------------------------------------------------------
 
-def _wcc(
-    v: int,
-    members: set,
-    nbrs_v: np.ndarray,
-    tri_nbrs_v: list,
-    t_total: int,
-    adj_sets: list[set],
-) -> float:
-    """Cohesion of node v with the community ``members`` (v itself excluded).
-
-    First factor: fraction of v's triangles closed inside the community.
-    Second factor: reach of v's triangle partners relative to community size
-    plus triangle partners left outside.
-    """
-    if t_total == 0:
-        return 0.0
-    inside = [u for u in nbrs_v if u in members]
-    t_in = 0
-    for i, u in enumerate(inside):
-        adj_u = adj_sets[u]
-        for w in inside[i + 1:]:
-            if w in adj_u:
-                t_in += 1
-    vt_total = len(tri_nbrs_v)
-    vt_outside = sum(1 for u in tri_nbrs_v if u not in members)
-    denom = len(members) + vt_outside
-    if denom == 0:
-        return 0.0
-    return (t_in / t_total) * (vt_total / denom)
-
-
 class ScdModel(Estimator):
     """Greedy triangle-based clustering, fully deterministic.
 
@@ -176,57 +144,68 @@ class ScdModel(Estimator):
         require_connected(g)
         n = g.node_count
         deg = g.degrees
+        nbrs = g.neighbor_lists()
         # triangle partners of v: the stored columns of row v
         tri = triangle_matrix(g)
-        tri_nbrs = [tri.indices[tri.indptr[v]: tri.indptr[v + 1]].tolist() for v in range(n)]
+        indptr, indices = tri.indptr.tolist(), tri.indices.tolist()
+        partners = [indices[indptr[v]: indptr[v + 1]] for v in range(n)]
+        partner_sets = [set(p) for p in partners]
         t_counts = np.asarray(tri.sum(axis=1)).ravel().astype(np.int64) // 2
-        adj_sets = [set(map(int, g.neighbors(v))) for v in range(n)]
 
         cc = np.zeros(n)
         mask = deg >= 2
         cc[mask] = 2.0 * t_counts[mask] / (deg[mask] * (deg[mask] - 1.0))
-        order = sorted(range(n), key=lambda v: (-cc[v], v))
+        order = np.argsort(-cc, kind="stable").tolist()  # ties by ascending id
+        t_counts = t_counts.tolist()
 
-        labels = np.full(n, -1, dtype=np.int64)
+        labels = [-1] * n
         next_label = 0
         for v in order:
             if labels[v] != -1:
                 continue
             labels[v] = next_label
             if t_counts[v] > 0:
-                for u in g.neighbors(v):
+                for u in nbrs[v]:
                     if labels[u] == -1 and t_counts[u] > 0:
                         labels[u] = next_label
             next_label += 1
 
         members: dict[int, set] = {}
         for v in range(n):
-            members.setdefault(int(labels[v]), set()).add(v)
+            members.setdefault(labels[v], set()).add(v)
 
         for _ in range(self.refinement_rounds):
             moved = False
             for v in range(n):
-                if t_counts[v] == 0:
+                t_v = t_counts[v]
+                if t_v == 0:
                     continue
-                nbrs_v = g.neighbors(v)
-                current = int(labels[v])
-                candidates = {current}
-                candidates.update(int(labels[u]) for u in nbrs_v)
+                groups: dict = {}
+                for u in partners[v]:
+                    groups.setdefault(labels[u], []).append(u)
+                current = labels[v]
+                # weighted community clustering of v with community c: the
+                # fraction of v's triangles closed inside c (edges among the
+                # partners c holds; two partners of v are adjacent exactly
+                # when each is a triangle partner of the other), times the
+                # partner count k over the size of c plus the partners left
+                # outside.  A community holding fewer than 2 partners scores
+                # 0, which never beats staying (score >= 0), and neither does
+                # the singleton option: only the others can take v
+                others = sorted(c for c, group in groups.items() if len(group) >= 2 and c != current)
+                if not others:
+                    continue
                 own = members[current]
                 own.discard(v)
-                best_label, best_score = current, _wcc(
-                    v, own, nbrs_v, tri_nbrs[v], t_counts[v], adj_sets
-                )
-                for cand in sorted(candidates):
-                    if cand == current:
-                        continue
-                    score = _wcc(
-                        v, members[cand], nbrs_v, tri_nbrs[v], t_counts[v], adj_sets
-                    )
+                k = len(partners[v])
+                best_label, best_score = current, -1.0
+                for cand in [current, *others]:
+                    group = groups.get(cand, [])
+                    inside = set(group)
+                    t_in = sum(len(inside.intersection(partner_sets[u])) for u in group) // 2
+                    score = (t_in / t_v) * (k / (len(members[cand]) + k - len(group)))
                     if score > best_score:
                         best_label, best_score = cand, score
-                # the singleton option scores exactly 0 and the objective is
-                # nonnegative, so with stay-on-tie it can never win a move
                 if best_label == current:
                     own.add(v)
                 else:
@@ -236,13 +215,25 @@ class ScdModel(Estimator):
             if not moved:
                 break
 
-        self._memberships = canonicalize_memberships({v: int(labels[v]) for v in range(n)})
+        self._memberships = canonicalize_memberships(dict(enumerate(labels)))
         return self
 
 
 # ---------------------------------------------------------------------------
 # symmetric NMF
 # ---------------------------------------------------------------------------
+
+def _argmax_rows(h: np.ndarray, gen: np.random.Generator) -> list[int]:
+    """The column of each row's maximum.  A row with several maxima picks one
+    with ``gen.integers(0, count)``; only such rows draw, in ascending row
+    order."""
+    tied = h == h.max(axis=1, keepdims=True)
+    picks = h.argmax(axis=1)
+    for v in np.flatnonzero(tied.sum(axis=1) > 1).tolist():
+        best = np.flatnonzero(tied[v])
+        picks[v] = best[gen.integers(0, best.size)]
+    return picks.tolist()
+
 
 class SymNmfModel(Estimator):
     """Overlapping community model: factor the adjacency as H H^T, H >= 0.
@@ -321,15 +312,8 @@ class SymNmfModel(Estimator):
                 if abs(losses[-2] - losses[-1]) / max(losses[-2], eps) < self.tolerance:
                     break
 
-        argmax_gen = RandomSource(self.seed, 1).generator()
-        assignments = {}
-        for v in range(n):
-            row = h[v]
-            best = np.flatnonzero(row == row.max())
-            pick = best[0] if best.size == 1 else best[argmax_gen.integers(0, best.size)]
-            assignments[v] = int(pick)
-
+        picks = _argmax_rows(h, RandomSource(self.seed, 1).generator())
         self._embedding = h
-        self._memberships = canonicalize_memberships(assignments)
+        self._memberships = canonicalize_memberships(dict(enumerate(picks)))
         self.loss_history_ = losses
         return self

@@ -130,6 +130,12 @@ class Graph:
         """Sorted neighbor ids of node v (read-only view)."""
         return self.targets[self.offsets[v]: self.offsets[v + 1]]
 
+    def neighbor_lists(self) -> list[list[int]]:
+        """Every node's sorted neighbor ids as a Python list, for node-by-node
+        loops, which index lists several times faster than arrays."""
+        offsets, targets = self.offsets.tolist(), self.targets.tolist()
+        return [targets[offsets[v]: offsets[v + 1]] for v in range(self.node_count)]
+
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
@@ -251,22 +257,18 @@ def validate_graph(g: Graph) -> ValidationReport:
     Connectivity is decided by breadth-first traversal from node 0; models
     that require a connected input consult this and reject otherwise.
     """
-    n = g.node_count
-    deg = g.degrees
-    isolated = int(np.count_nonzero(deg == 0))
-    visited = np.zeros(n, dtype=bool)
-    visited[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.neighbors(u):
-                if not visited[v]:
-                    visited[v] = True
-                    nxt.append(int(v))
-        frontier = nxt
+    isolated = int(np.count_nonzero(g.degrees == 0))
+    nbrs = g.neighbor_lists()
+    seen = bytearray(g.node_count)
+    seen[0] = 1
+    reached = [0]
+    for u in reached:  # the list grows behind the loop: a FIFO queue
+        for v in nbrs[u]:
+            if not seen[v]:
+                seen[v] = 1
+                reached.append(v)
     return ValidationReport(
-        is_connected=bool(visited.all()),
+        is_connected=len(reached) == g.node_count,
         is_contiguous=(isolated == 0),
         isolated_node_count=isolated,
     )

@@ -202,7 +202,9 @@ def read_embedding_csv(path: str) -> np.ndarray:
 def embedding_text(matrix: np.ndarray) -> str:
     """One comma-separated line of 17-significant-digit floats per row."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    return "".join(",".join(format_float(x) for x in row) + "\n" for row in matrix)
+    # one %-template per row formats each value as format_float does
+    row = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    return "".join(row % tuple(values) for values in matrix.tolist())
 
 
 def write_embedding_csv(matrix: np.ndarray, path: str) -> None:

@@ -15,6 +15,7 @@ from graphmine import (
     erdos_renyi_gnm,
     modularity,
     nmi,
+    triangle_matrix,
 )
 from builders import (
     complete_graph,
@@ -24,6 +25,7 @@ from builders import (
     triangle_pair,
     two_cliques,
 )
+from graphmine.community import _argmax_rows
 from oracles import modularity_reference
 
 
@@ -192,6 +194,104 @@ def test_scd_requires_connected_graph():
         ScdModel().fit(g)
 
 
+def _wcc_reference(v, members, nbrs_v, tri_nbrs_v, t_total, adj_sets):
+    """The frozen cohesion score that rescans every neighbor of v."""
+    if t_total == 0:
+        return 0.0
+    inside = [u for u in nbrs_v if u in members]
+    t_in = 0
+    for i, u in enumerate(inside):
+        adj_u = adj_sets[u]
+        for w in inside[i + 1:]:
+            if w in adj_u:
+                t_in += 1
+    vt_total = len(tri_nbrs_v)
+    vt_outside = sum(1 for u in tri_nbrs_v if u not in members)
+    denom = len(members) + vt_outside
+    if denom == 0:
+        return 0.0
+    return (t_in / t_total) * (vt_total / denom)
+
+
+def _scd_reference(g, refinement_rounds):
+    """Frozen SCD fit that scores every neighbor's community with
+    ``_wcc_reference``; the model must give the same memberships."""
+    n = g.node_count
+    deg = g.degrees
+    tri = triangle_matrix(g)
+    tri_nbrs = [tri.indices[tri.indptr[v]: tri.indptr[v + 1]].tolist() for v in range(n)]
+    t_counts = np.asarray(tri.sum(axis=1)).ravel().astype(np.int64) // 2
+    adj_sets = [set(map(int, g.neighbors(v))) for v in range(n)]
+    cc = np.zeros(n)
+    mask = deg >= 2
+    cc[mask] = 2.0 * t_counts[mask] / (deg[mask] * (deg[mask] - 1.0))
+    order = sorted(range(n), key=lambda v: (-cc[v], v))
+    labels = np.full(n, -1, dtype=np.int64)
+    next_label = 0
+    for v in order:
+        if labels[v] != -1:
+            continue
+        labels[v] = next_label
+        if t_counts[v] > 0:
+            for u in g.neighbors(v):
+                if labels[u] == -1 and t_counts[u] > 0:
+                    labels[u] = next_label
+        next_label += 1
+    members = {}
+    for v in range(n):
+        members.setdefault(int(labels[v]), set()).add(v)
+    for _ in range(refinement_rounds):
+        moved = False
+        for v in range(n):
+            if t_counts[v] == 0:
+                continue
+            nbrs_v = g.neighbors(v)
+            current = int(labels[v])
+            candidates = {current}
+            candidates.update(int(labels[u]) for u in nbrs_v)
+            own = members[current]
+            own.discard(v)
+            best_label, best_score = current, _wcc_reference(
+                v, own, nbrs_v, tri_nbrs[v], t_counts[v], adj_sets
+            )
+            for cand in sorted(candidates):
+                if cand == current:
+                    continue
+                score = _wcc_reference(
+                    v, members[cand], nbrs_v, tri_nbrs[v], t_counts[v], adj_sets
+                )
+                if score > best_score:
+                    best_label, best_score = cand, score
+            if best_label == current:
+                own.add(v)
+            else:
+                moved = True
+                labels[v] = best_label
+                members[best_label].add(v)
+        if not moved:
+            break
+    return canonicalize_memberships({v: int(labels[v]) for v in range(n)})
+
+
+def test_scd_matches_the_wcc_reference_exactly():
+    k5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    k5_path_k5 = build_graph(12, k5 + [(i + 5, j + 5) for i, j in k5] + [(4, 10), (10, 11), (11, 5)])
+    graphs = [
+        triangle_pair(),
+        two_cliques(4),
+        star_graph(9),
+        _hub_heavy(80, 160, 3),
+        k5_path_k5,
+        # its refinement meets tied candidates whose ascending-label order
+        # differs from the order their partners are listed in
+        erdos_renyi_gnm(60, 240, RandomSource(3, 0), connected=True),
+    ]
+    for g in graphs:
+        for rounds in (0, 1, 2, 25):
+            got = ScdModel(refinement_rounds=rounds).fit(g).get_memberships()
+            assert got == _scd_reference(g, rounds)
+
+
 # --- symmetric factorization ---
 
 def test_symnmf_recovers_two_cliques():
@@ -321,6 +421,41 @@ def test_symnmf_matches_the_recomputing_reference_exactly():
         assert model.get_memberships() == memberships
         paths.append((rejected, len(losses)))
     assert paths == [(24, 301), (0, 117)]
+
+
+def _argmax_loop(h, seed):
+    """The hard-assignment loop of ``_symnmf_reference``, on its own, so a
+    hand-built H can reach its tie path."""
+    argmax_gen = RandomSource(seed, 1).generator()
+    assignments = {}
+    for v in range(h.shape[0]):
+        row = h[v]
+        best = np.flatnonzero(row == row.max())
+        pick = best[0] if best.size == 1 else best[argmax_gen.integers(0, best.size)]
+        assignments[v] = int(pick)
+    return [assignments[v] for v in range(h.shape[0])]
+
+
+def test_symnmf_argmax_draws_only_for_tied_rows_in_node_order():
+    h = np.array([
+        [0.1, 0.7, 0.7, 0.0],
+        [0.9, 0.2, 0.3, 0.1],
+        [0.5, 0.5, 0.5, 0.5],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.2, 0.4, 0.1, 0.4],
+        [0.3, 0.1, 0.3, 0.8],
+        [0.6, 0.6, 0.0, 0.6],
+    ])
+    for seed in range(20):
+        assert _argmax_rows(h, RandomSource(seed, 1).generator()) == _argmax_loop(h, seed)
+    # a row with one maximum takes no draw: the tied rows see the same
+    # stream whether or not untied rows sit between them
+    untied = np.array([[0.0, 0.0, 0.0, 1.0]] * 3)
+    padded = np.vstack([untied, h[[0]], untied, h[[2]], untied, h[[6]]])
+    for seed in range(20):
+        picks = _argmax_rows(padded, RandomSource(seed, 1).generator())
+        assert picks == _argmax_loop(padded, seed)
+        assert picks[3::4] == _argmax_loop(h[[0, 2, 6]], seed)
 
 
 def test_symnmf_not_fitted_guard():

@@ -44,6 +44,7 @@ def test_build_graph_neighbors_sorted_and_symmetric():
         assert list(nbrs) == sorted(nbrs)
         for u in nbrs:
             assert v in g.neighbors(u)
+    assert g.neighbor_lists() == [g.neighbors(v).tolist() for v in range(5)]
 
 
 def test_build_graph_edge_order_does_not_matter():
@@ -105,6 +106,13 @@ def test_validate_disconnected_and_isolated():
     assert not report.is_connected
     assert not report.is_contiguous
     assert report.isolated_node_count == 1
+
+
+def test_validate_reaches_the_far_end_of_a_long_path():
+    assert validate_graph(path_graph(5000)).is_connected
+    split = build_graph(5000, [(i, i + 1) for i in range(4999) if i != 4997])
+    assert not validate_graph(split).is_connected
+    assert validate_graph(build_graph(1, [])).is_connected
 
 
 # --- random source ---

@@ -8,6 +8,7 @@ from graphmine import (
     EmptyCorpus,
     InputContractError,
     RandomSource,
+    embedding_text,
     format_float,
     read_corpus_jsonl,
     read_edge_list,
@@ -107,6 +108,18 @@ def test_embedding_roundtrip_is_exact(tmp_path):
     path = tmp_path / "e.csv"
     write_embedding_csv(matrix, str(path))
     assert np.array_equal(read_embedding_csv(str(path)), matrix)
+
+
+def test_embedding_text_formats_every_value_as_format_float():
+    edge = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e16, np.inf, -np.inf]
+    gen = RandomSource(6, 0).generator()
+    for width in (1, 128):
+        rows = -(-len(edge) // width) + 2
+        values = gen.standard_normal(rows * width) * 10.0 ** gen.integers(-300, 300, rows * width)
+        values[: len(edge)] = edge
+        matrix = values.reshape(rows, width)
+        expected = "".join(",".join(format_float(x) for x in row) + "\n" for row in matrix)
+        assert embedding_text(matrix) == expected
 
 
 def test_embedding_rejects_ragged_and_empty_files(tmp_path):
