@@ -309,8 +309,9 @@ def main(argv=None) -> int:
     except GraphMineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        # MemoryError: an input declaring more nodes than can be allocated
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -21,7 +21,7 @@ from .graph_core import (
     Graph,
     RandomSource,
     require_connected,
-    triangle_matrix,
+    triangle_partners,
 )
 
 __all__ = [
@@ -92,12 +92,11 @@ class LabelPropagationModel(Estimator):
 
     def fit(self, g: Graph) -> "LabelPropagationModel":
         self._require_at_least(max_iterations=1)
-        require_connected(g)
-        n = g.node_count
-        gen = RandomSource(self.seed, 0).generator()
         # plain lists: a visit counts its neighbors' labels in a dict, in
         # O(degree), where an array count would cost O(largest label)
-        nbrs = g.neighbor_lists()
+        nbrs = require_connected(g)
+        n = g.node_count
+        gen = RandomSource(self.seed, 0).generator()
         labels = list(range(n))
         for _ in range(self.max_iterations):
             changed = False
@@ -141,22 +140,16 @@ class ScdModel(Estimator):
 
     def fit(self, g: Graph) -> "ScdModel":
         self._require_at_least(refinement_rounds=0)
-        require_connected(g)
+        nbrs = require_connected(g)
         n = g.node_count
         deg = g.degrees
-        nbrs = g.neighbor_lists()
-        # triangle partners of v: the stored columns of row v
-        tri = triangle_matrix(g)
-        indptr, indices = tri.indptr.tolist(), tri.indices.tolist()
-        partners = [indices[indptr[v]: indptr[v + 1]] for v in range(n)]
+        partners, t_counts = triangle_partners(nbrs)
         partner_sets = [set(p) for p in partners]
-        t_counts = np.asarray(tri.sum(axis=1)).ravel().astype(np.int64) // 2
 
         cc = np.zeros(n)
         mask = deg >= 2
-        cc[mask] = 2.0 * t_counts[mask] / (deg[mask] * (deg[mask] - 1.0))
+        cc[mask] = 2.0 * np.array(t_counts)[mask] / (deg[mask] * (deg[mask] - 1.0))
         order = np.argsort(-cc, kind="stable").tolist()  # ties by ascending id
-        t_counts = t_counts.tolist()
 
         labels = [-1] * n
         next_label = 0

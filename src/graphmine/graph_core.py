@@ -44,7 +44,7 @@ __all__ = [
     "erdos_renyi_gnm",
     "transition_matrix",
     "normalized_laplacian",
-    "triangle_matrix",
+    "triangle_partners",
     "triangles_per_node",
 ]
 
@@ -235,14 +235,10 @@ def build_graph(n: int, edges) -> Graph:
         if key in seen:
             raise DuplicateEdge(f"edge ({u},{v}) given more than once")
         seen.add(key)
-    m = len(seen)
-    if m == 0:
-        heads = np.empty(0, dtype=np.int64)
-        tails = np.empty(0, dtype=np.int64)
-    else:
-        pairs = np.array(sorted(seen), dtype=np.int64)
-        heads = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        tails = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    # any pair order will do: the lexsort below fully orders the keys
+    pairs = np.array(list(seen), dtype=np.int64).reshape(-1, 2)
+    heads = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    tails = np.concatenate([pairs[:, 1], pairs[:, 0]])
     counts = np.bincount(heads, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
@@ -251,15 +247,9 @@ def build_graph(n: int, edges) -> Graph:
     return Graph(n, offsets, targets)
 
 
-def validate_graph(g: Graph) -> ValidationReport:
-    """Report connectivity and id-coverage facts about ``g``.
-
-    Connectivity is decided by breadth-first traversal from node 0; models
-    that require a connected input consult this and reject otherwise.
-    """
-    isolated = int(np.count_nonzero(g.degrees == 0))
-    nbrs = g.neighbor_lists()
-    seen = bytearray(g.node_count)
+def _reaches_all(nbrs: list[list[int]]) -> bool:
+    """Whether a breadth-first pass over ``nbrs`` from node 0 reaches every node."""
+    seen = bytearray(len(nbrs))
     seen[0] = 1
     reached = [0]
     for u in reached:  # the list grows behind the loop: a FIFO queue
@@ -267,20 +257,33 @@ def validate_graph(g: Graph) -> ValidationReport:
             if not seen[v]:
                 seen[v] = 1
                 reached.append(v)
+    return len(reached) == len(nbrs)
+
+
+def validate_graph(g: Graph) -> ValidationReport:
+    """Report connectivity and id-coverage facts about ``g``.
+
+    Connectivity is decided by breadth-first traversal from node 0, the
+    check :func:`require_connected` makes before a fit.
+    """
+    isolated = int(np.count_nonzero(g.degrees == 0))
     return ValidationReport(
-        is_connected=len(reached) == g.node_count,
+        is_connected=_reaches_all(g.neighbor_lists()),
         is_contiguous=(isolated == 0),
         isolated_node_count=isolated,
     )
 
 
-def require_connected(g: Graph, name: str = "graph") -> None:
+def require_connected(g: Graph, name: str = "graph") -> list[list[int]]:
     """Raise :class:`DisconnectedGraph` unless ``g`` is connected.
 
     ``name`` leads the error message, e.g. ``"graph 3"`` for a corpus member.
+    Returns the :meth:`Graph.neighbor_lists` it walked, for the fit to reuse.
     """
-    if not validate_graph(g).is_connected:
+    nbrs = g.neighbor_lists()
+    if not _reaches_all(nbrs):
         raise DisconnectedGraph(f"{name} is not connected")
+    return nbrs
 
 
 def erdos_renyi_gnm(
@@ -354,22 +357,29 @@ def normalized_laplacian(g: Graph) -> _sp.csr_matrix:
     return sparse.eye(n, format="csr") + off
 
 
-def triangle_matrix(g: Graph) -> _sp.csr_matrix:
-    """Entry (u,v) is the number of triangles through edge (u,v).
+def triangle_partners(nbrs: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Each node's triangle partners, ascending, and its triangle count.
 
-    Computed as ``(A @ A) * A`` elementwise, which stores only the edges
-    that close at least one triangle: the stored columns of row v are the
-    triangle partners of v.
+    ``nbrs`` is :meth:`Graph.neighbor_lists`; u partners v when the edge
+    (v, u) closes a triangle.  Each edge is intersected once, from its lower
+    end (the edge iterator of Latapy 2008); the intersections at v count
+    each triangle at v twice, once through each of its two edges at v.
     """
-    a = g.adjacency_scipy()
-    return (a @ a).multiply(a)
+    sets = [set(x) for x in nbrs]
+    partners: list[list[int]] = [[] for _ in nbrs]
+    counts = [0] * len(nbrs)
+    for v, nbr_set in enumerate(sets):
+        for u in nbrs[v]:
+            if u > v:
+                shared = len(nbr_set & sets[u])
+                if shared:
+                    partners[v].append(u)
+                    partners[u].append(v)
+                    counts[v] += shared
+                    counts[u] += shared
+    return partners, [c // 2 for c in counts]
 
 
 def triangles_per_node(g: Graph) -> list[int]:
-    """Number of triangles incident to each node.
-
-    Row v of :func:`triangle_matrix` counts every triangle at v twice, once
-    through each of its two edges at v.
-    """
-    rows = np.asarray(triangle_matrix(g).sum(axis=1)).ravel()
-    return (rows.astype(np.int64) // 2).tolist()
+    """Number of triangles incident to each node."""
+    return triangle_partners(g.neighbor_lists())[1]

@@ -100,13 +100,14 @@ def wl_features(g: Graph, features: dict | None, iterations: int) -> WlFeatureSe
             raise IncompleteFeatureMap(f"feature map missing node {missing[0]}")
         labels = [str(features[v]) for v in range(n)]
     else:
-        labels = [str(g.degree(v)) for v in range(n)]
+        labels = [str(d) for d in g.degrees.tolist()]
     counts: Counter = Counter()
     for v in range(n):
         counts[f"0:{labels[v]}"] += 1
     keys = [_escape(label) for label in labels]  # later rounds' hex labels need none
+    nbrs = g.neighbor_lists()
     for r in range(1, iterations + 1):
-        labels = keys = [_hash_label(keys[v], [keys[u] for u in g.neighbors(v)]) for v in range(n)]
+        labels = keys = [_hash_label(keys[v], [keys[u] for u in nbrs[v]]) for v in range(n)]
         for v in range(n):
             counts[f"{r}:{labels[v]}"] += 1
     return WlFeatureSet(counts=counts, iterations=iterations, node_count=n)

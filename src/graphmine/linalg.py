@@ -1,4 +1,4 @@
-"""Dense symmetric eigendecomposition and randomized truncated SVD.
+"""Dense symmetric eigenvalues and randomized truncated SVD.
 
 These two kernels are the only decomposition primitives the embedding and
 fingerprint models use.  Both rest on LAPACK's symmetric eigensolver
@@ -23,9 +23,7 @@ if TYPE_CHECKING:
     from scipy import sparse as _sp
 
 __all__ = [
-    "EigenDecomposition",
     "SvdResult",
-    "eig_symmetric",
     "eigvals_symmetric",
     "randomized_svd",
     "DENSE_SIZE_CAP",
@@ -34,14 +32,6 @@ __all__ = [
 DENSE_SIZE_CAP = 1024
 
 _SYMMETRY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues in ascending order; eigenvector column j pairs with value j."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -76,23 +66,13 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from exc
 
 
-def eig_symmetric(a: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a dense symmetric matrix.
-
-    Returns eigenvalues ascending with orthonormal eigenvector columns in
-    matching order.
-    """
-    eigenvalues, vectors = _eigh(_check_square_symmetric(a))
-    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
-
-
 def eigvals_symmetric(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues only (ascending).
+    """Eigenvalues of a dense symmetric matrix, ascending.
 
-    Taken from the full decomposition rather than ``eigvalsh``, so the bytes
-    equal ``eig_symmetric(a).eigenvalues`` exactly.
+    Taken from the full decomposition rather than ``eigvalsh``, whose last
+    bits differ; downstream standardization amplifies that difference.
     """
-    return eig_symmetric(a).eigenvalues
+    return _eigh(_check_square_symmetric(a))[0]
 
 
 def randomized_svd(a: _sp.spmatrix, k: int, rng: RandomSource) -> SvdResult:

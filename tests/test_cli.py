@@ -19,7 +19,7 @@ from graphmine import (
     write_labels_csv,
     write_membership,
 )
-from graphmine.cli import _MODELS, _model, build_parser
+from graphmine.cli import _MODELS, _model, build_parser, main
 from builders import random_connected, triangle_pair, two_cliques
 
 
@@ -201,7 +201,7 @@ def test_stdout_matches_the_library_writers(graph_file, tmp_path):
     assert res.stdout == path.read_text()
 
 
-def test_malformed_files_exit_2_without_traceback(tmp_path):
+def test_malformed_files_exit_2_without_traceback(tmp_path, capsys):
     members = tmp_path / "m.json"
     members.write_text('{"0": 0,')
     embedding = tmp_path / "e.csv"
@@ -222,6 +222,18 @@ def test_malformed_files_exit_2_without_traceback(tmp_path):
         assert res.returncode == 2, args
         assert "Traceback" not in res.stderr
         assert "error:" in res.stderr
+    # node counts whose arrays exceed any address space: the allocation
+    # fails at once, so these run in process
+    huge = tmp_path / "huge.csv"
+    huge.write_text("# nodes=1000000000000000\n0,1\n")
+    huge_corpus = tmp_path / "huge.jsonl"
+    huge_corpus.write_text('{"edges": [[0, 1000000000000000]]}\n')
+    for args in (
+        ("cluster", "--algo", "label-propagation", "--graph", huge),
+        ("embed-graphs", "--algo", "wl-svd", "--corpus", huge_corpus),
+    ):
+        assert main([str(a) for a in args]) == 2, args
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_threads_flag_is_accepted(tmp_path):

@@ -15,7 +15,6 @@ from graphmine import (
     erdos_renyi_gnm,
     modularity,
     nmi,
-    triangle_matrix,
 )
 from builders import (
     complete_graph,
@@ -218,9 +217,10 @@ def _scd_reference(g, refinement_rounds):
     ``_wcc_reference``; the model must give the same memberships."""
     n = g.node_count
     deg = g.degrees
-    tri = triangle_matrix(g)
-    tri_nbrs = [tri.indices[tri.indptr[v]: tri.indptr[v + 1]].tolist() for v in range(n)]
-    t_counts = np.asarray(tri.sum(axis=1)).ravel().astype(np.int64) // 2
+    a = g.adjacency_scipy().toarray()
+    tri = (a @ a) * a  # entry (u, v): the triangles through edge (u, v)
+    tri_nbrs = [np.flatnonzero(tri[v]).tolist() for v in range(n)]
+    t_counts = tri.sum(axis=1).astype(np.int64) // 2
     adj_sets = [set(map(int, g.neighbors(v))) for v in range(n)]
     cc = np.zeros(n)
     mask = deg >= 2

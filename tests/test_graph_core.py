@@ -25,7 +25,7 @@ from graphmine import (
     erdos_renyi_gnm,
     normalized_laplacian,
     transition_matrix,
-    triangle_matrix,
+    triangle_partners,
     triangles_per_node,
     validate_graph,
 )
@@ -230,9 +230,10 @@ def _hub_heavy(n, seed):
     return build_graph(n, set(g.edges()) | {(0, v) for v in range(3, n, 3)})
 
 
-def test_triangle_matrix_matches_brute_force_enumeration():
+def test_triangle_partners_match_brute_force_enumeration():
     graphs = [erdos_renyi_gnm(8 + s, 3 * (8 + s), RandomSource(s, 1)) for s in range(10)]
     graphs += [_hub_heavy(12 + 3 * s, s) for s in range(10)]
+    graphs += [build_graph(4, []), build_graph(2, [(0, 1)])]
     for g in graphs:
         a = g.adjacency_scipy().toarray()
         n = g.node_count
@@ -245,9 +246,9 @@ def test_triangle_matrix_matches_brute_force_enumeration():
                         for x, y, z in ((u, v, w), (v, u, w), (w, u, v)):
                             partners[x] |= {y, z}
                             counts[x] += 1
-        t = triangle_matrix(g)
-        got = [set(t.indices[t.indptr[v]: t.indptr[v + 1]].tolist()) for v in range(n)]
-        assert got == partners
+        got_partners, got_counts = triangle_partners(g.neighbor_lists())
+        assert got_partners == [sorted(p) for p in partners]
+        assert got_counts == counts
         assert triangles_per_node(g) == counts
 
 

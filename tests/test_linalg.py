@@ -8,7 +8,6 @@ from graphmine import (
     NotSymmetric,
     RandomSource,
     RankTooLarge,
-    eig_symmetric,
     eigvals_symmetric,
     randomized_svd,
 )
@@ -31,29 +30,14 @@ def _sparse_from_dense(a):
 def test_eigenvalues_match_lapack_reference():
     for n in [1, 2, 3, 5, 8, 13, 21, 34, 64]:
         a = _random_symmetric(n, n)
-        got = eig_symmetric(a)
+        got = eigvals_symmetric(a)
         expected = np.linalg.eigvalsh(a)
         scale = max(1.0, float(np.linalg.norm(a)))
-        assert np.max(np.abs(got.eigenvalues - expected)) < 1e-10 * scale
-
-
-def test_eigenvectors_diagonalize_the_input():
-    for seed in range(5):
-        a = _random_symmetric(12, 100 + seed)
-        dec = eig_symmetric(a)
-        v = dec.eigenvectors
-        assert np.allclose(v.T @ v, np.eye(12), atol=1e-12)
-        assert np.allclose(a @ v, v * dec.eigenvalues, atol=1e-10)
+        assert np.max(np.abs(got - expected)) < 1e-10 * scale
 
 
 def test_eigenvalues_are_ascending():
-    dec = eig_symmetric(_random_symmetric(10, 7))
-    assert np.all(np.diff(dec.eigenvalues) >= 0)
-
-
-def test_eigvals_only_agrees_with_full_decomposition():
-    a = _random_symmetric(9, 3)
-    assert np.array_equal(eigvals_symmetric(a), eig_symmetric(a).eigenvalues)
+    assert np.all(np.diff(eigvals_symmetric(_random_symmetric(10, 7))) >= 0)
 
 
 def test_diagonal_matrix_is_immediate():
@@ -74,17 +58,15 @@ def test_trace_is_preserved():
 
 def test_rejects_asymmetric_and_non_square():
     with pytest.raises(NotSymmetric):
-        eig_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        eigvals_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(NotSymmetric):
-        eig_symmetric(np.zeros((3, 4)))
+        eigvals_symmetric(np.zeros((3, 4)))
 
 
 def test_rejects_non_finite_entries():
     nan = np.full((3, 3), np.nan)
     inf_diagonal = np.diag([1.0, 1.0, 1.0, np.inf])
     for a in (nan, inf_diagonal):
-        with pytest.raises(NotSymmetric, match="non-finite"):
-            eig_symmetric(a)
         with pytest.raises(NotSymmetric, match="non-finite"):
             eigvals_symmetric(a)
 

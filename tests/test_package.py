@@ -51,6 +51,7 @@ graphmine.write_labels_csv([i % 2 for i in range(24)], path("y.csv"))
 for argv, out in (
     (["generate", "--nodes", "24", "--edges", "60", "--seed", "2", "--connected"], "g.csv"),
     (["cluster", "--algo", "label-propagation", "--graph", path("g.csv")], "lp.json"),
+    (["cluster", "--algo", "scd", "--graph", path("g.csv")], "scd.json"),
     (["eval", "nmi", "--a", path("lp.json"), "--b", path("lp.json")], "nmi.txt"),
     (["eval", "modularity", "--graph", path("g.csv"), "--membership", path("lp.json")], "q.txt"),
     (["eval", "classify", "--embedding", path("emb.csv"), "--labels", path("y.csv")], "auc.txt"),
