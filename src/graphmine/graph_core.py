@@ -14,6 +14,7 @@ every platform, and makes independent child streams cheap to derive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -223,7 +224,42 @@ def build_graph(n: int, edges) -> Graph:
     """
     if n < 1:
         raise OutOfRangeNode(f"node count must be >= 1, got {n}")
-    edges = list(edges)
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        pairs = np.asarray(edges)
+    except (ValueError, OverflowError):  # ragged rows
+        pairs = np.empty(0)
+    # anything but in-range integer pairs (floats, strings, bools, objects,
+    # ints beyond 64 bits) goes through the loop, which takes int() of each
+    # endpoint and raises for the first faulty edge
+    if (
+        pairs.dtype.kind not in "iu"
+        or pairs.shape[1:] != (2,)
+        or pairs.min(initial=0) < 0
+        or pairs.max(initial=0) >= n
+    ):
+        pairs = _checked_pairs(n, edges)
+    pairs = pairs.astype(np.int64, copy=False)
+    lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+    heads, tails = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    # sort by (head, tail), as one int64 key while head * width cannot overflow
+    width = int(tails.max(initial=0)) + 1
+    order = np.argsort(heads * width + tails) if width < 2**31 else np.lexsort((tails, heads))
+    heads, targets = heads[order], tails[order]
+    # a repeated pair sorts next to its twin, and a self-loop (u, u) lists
+    # u twice among u's targets: the loop names the first such edge
+    if np.any((heads[1:] == heads[:-1]) & (targets[1:] == targets[:-1])):
+        _checked_pairs(n, edges)
+    counts = np.bincount(heads, minlength=n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return Graph(n, offsets, targets)
+
+
+def _checked_pairs(n: int, edges) -> np.ndarray:
+    """The per-edge loop: raises for the first faulty edge in input order,
+    else returns the distinct ``(lo, hi)`` pairs as an (m, 2) int64 array."""
     seen: set[tuple[int, int]] = set()
     for u, v in edges:
         u, v = int(u), int(v)
@@ -235,16 +271,7 @@ def build_graph(n: int, edges) -> Graph:
         if key in seen:
             raise DuplicateEdge(f"edge ({u},{v}) given more than once")
         seen.add(key)
-    # any pair order will do: the lexsort below fully orders the keys
-    pairs = np.array(list(seen), dtype=np.int64).reshape(-1, 2)
-    heads = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    tails = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    counts = np.bincount(heads, minlength=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    order = np.lexsort((tails, heads))
-    targets = tails[order]
-    return Graph(n, offsets, targets)
+    return np.array(list(seen), dtype=np.int64).reshape(-1, 2)
 
 
 def _reaches_all(nbrs: list[list[int]]) -> bool:
@@ -302,24 +329,33 @@ def erdos_renyi_gnm(
     if m < 0 or m > max_m:
         raise TooManyEdges(f"{m} edges requested, graph of {n} nodes admits at most {max_m}")
     attempts = 100 if connected else 1
-    for k in range(attempts):
+    # fewer than n - 1 edges never join n nodes: skip the draws bound to fail
+    for k in range(attempts if not connected or m >= n - 1 else 0):
         gen = RandomSource(rng.seed, rng.stream_id + k).generator()
-        seen: set[tuple[int, int]] = set()
-        while len(seen) < m:
-            u = int(gen.integers(0, n))
-            v = int(gen.integers(0, n))
-            if u == v:
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                continue
-            seen.add(key)
-        g = build_graph(n, seen)
+        g = build_graph(n, _distinct_pairs(gen, n, m))
         if not connected or validate_graph(g).is_connected:
             return g
     raise ConnectivityRetryExhausted(
         f"no connected G({n},{m}) found in {attempts} attempts from seed {rng.seed}"
     )
+
+
+def _distinct_pairs(gen: np.random.Generator, n: int, m: int) -> np.ndarray:
+    """The first ``m`` distinct pairs of distinct nodes that ``gen`` draws,
+    as an (m, 2) int64 array.
+
+    Each round draws as many pairs as are still missing, so it never draws
+    past the m-th distinct pair.  A draw of size k is the next k scalar
+    draws of the stream, so the pairs are those of one
+    ``gen.integers(0, n)`` call per endpoint.
+    """
+    seen: set[tuple[int, int]] = set()
+    while len(seen) < m:
+        draws = gen.integers(0, n, size=2 * (m - len(seen))).tolist()
+        for u, v in zip(draws[::2], draws[1::2]):
+            if u != v:
+                seen.add((u, v) if u < v else (v, u))
+    return np.fromiter(chain.from_iterable(seen), np.int64, 2 * m).reshape(m, 2)
 
 
 # ---------------------------------------------------------------------------

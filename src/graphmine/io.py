@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import repeat
 
 import numpy as np
 
@@ -54,10 +55,9 @@ def _read_text(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _lines(path: str):
+def _lines(text: str):
     """Yield ``(line number, stripped line)`` for each non-blank line."""
-    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
-        line = raw.strip()
+    for lineno, line in enumerate(map(str.strip, text.split("\n")), start=1):
         if line:
             yield lineno, line
 
@@ -86,18 +86,53 @@ def read_edge_list(path: str) -> Graph:
     Lines starting with ``#`` are comments; a ``# nodes=N`` header pins the
     node count, otherwise it is inferred as 1 + max endpoint.
     """
+    text = _read_text(path)
+    try:
+        declared, edges = _edge_list_arrays(text)
+    except (ValueError, OverflowError):
+        # a faulty line, an endpoint beyond int64 or no edges at all: the
+        # per-line pass names the first faulty line and keeps Python ints
+        declared, edges = _edge_list_by_line(path, _lines(text))
+    return build_graph(declared, edges)
+
+
+def _node_count_header(line: str, declared):
+    """The count a ``# nodes=N`` comment declares, else ``declared``."""
+    body = line[1:].strip()
+    return int(body[len("nodes="):]) if body.startswith("nodes=") else declared
+
+
+def _edge_list_arrays(text: str) -> tuple:
+    """The node count and the endpoints as an (m, 2) int64 array, parsed in
+    bulk.  Raises ValueError or OverflowError wherever the per-line pass
+    would raise, and for endpoints beyond int64."""
+    lines = [line for line in map(str.strip, text.split("\n")) if line]
+    declared = None
+    for line in lines:
+        if line[0] == "#":
+            declared = _node_count_header(line, declared)
+    data = [line for line in lines if line[0] != "#"]
+    # one comma on every line, so the joined tokens pair up line by line
+    if not set(map(str.count, data, repeat(","))) <= {1}:
+        raise ValueError("expected one comma per line")
+    # numpy parses each str with int(), so it accepts what int() accepts
+    ends = np.array(",".join(data).split(",") if data else [], dtype=np.int64)
+    if declared is None:
+        declared = 1 + int(ends.max())  # ValueError if there are no edges
+    return declared, ends.reshape(-1, 2)
+
+
+def _edge_list_by_line(path: str, lines) -> tuple:
+    """The node count and the ``(u, v)`` pairs, line by line; raises for the
+    first faulty line."""
     edges = []
     declared = None
-    for lineno, line in _lines(path):
+    for lineno, line in lines:
         if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("nodes="):
-                try:
-                    declared = int(body[len("nodes="):])
-                except ValueError:
-                    raise InputContractError(
-                        f"{path}:{lineno}: bad node-count header: {line}"
-                    )
+            try:
+                declared = _node_count_header(line, declared)
+            except ValueError:
+                raise InputContractError(f"{path}:{lineno}: bad node-count header: {line}")
             continue
         parts = line.split(",")
         if len(parts) != 2:
@@ -115,7 +150,7 @@ def read_edge_list(path: str) -> Graph:
         if not edges:
             raise InputContractError(f"{path}: no edges and no node-count header")
         declared = 1 + max(max(u, v) for u, v in edges)
-    return build_graph(declared, edges)
+    return declared, edges
 
 
 def edge_list_text(g: Graph) -> str:
@@ -176,7 +211,7 @@ def read_embedding_csv(path: str) -> np.ndarray:
     """Rows of comma-separated finite floats, all of one width."""
     rows, linenos = [], []
     width = None
-    for lineno, line in _lines(path):
+    for lineno, line in _lines(_read_text(path)):
         try:
             vals = [float(tok) for tok in line.split(",")]
         except ValueError:
@@ -213,7 +248,7 @@ def write_embedding_csv(matrix: np.ndarray, path: str) -> None:
 
 def read_labels_csv(path: str) -> np.ndarray:
     values = []
-    for lineno, line in _lines(path):
+    for lineno, line in _lines(_read_text(path)):
         try:
             values.append(int(line))
         except ValueError:
@@ -235,7 +270,7 @@ def read_corpus_jsonl(path: str) -> GraphCorpus:
     graphs, features, labels = [], [], []
     any_features = False
     any_labels = False
-    for lineno, line in _lines(path):
+    for lineno, line in _lines(_read_text(path)):
         try:
             obj = json.loads(line, object_pairs_hook=_JsonObject)
         except json.JSONDecodeError as exc:
