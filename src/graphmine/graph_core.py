@@ -243,9 +243,7 @@ def build_graph(n: int, edges) -> Graph:
     pairs = pairs.astype(np.int64, copy=False)
     lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
     heads, tails = np.concatenate([lo, hi]), np.concatenate([hi, lo])
-    # sort by (head, tail), as one int64 key while head * width cannot overflow
-    width = int(tails.max(initial=0)) + 1
-    order = np.argsort(heads * width + tails) if width < 2**31 else np.lexsort((tails, heads))
+    order = np.lexsort((tails, heads))
     heads, targets = heads[order], tails[order]
     # a repeated pair sorts next to its twin, and a self-loop (u, u) lists
     # u twice among u's targets: the loop names the first such edge
