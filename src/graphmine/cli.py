@@ -71,15 +71,6 @@ def _model(task: str, args):
     })
 
 
-def _defaults(task: str) -> str:
-    """Help epilog listing each algorithm's defaults, read from its estimator."""
-    parts = []
-    for algo, cls in _MODELS[task].items():
-        params = inspect.signature(cls).parameters.values()
-        parts.append(f"{algo}: " + (", ".join(f"{p.name}={p.default}" for p in params) or "none"))
-    return "defaults: " + "; ".join(parts)
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -221,43 +212,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_generate)
 
-    # hyperparameter flags carry the estimator parameter's name and no
-    # default of their own: a flag left out stays out of the namespace
-    def model_parser(task: str, summary: str):
-        p = sub.add_parser(task, help=summary, epilog=_defaults(task),
-                           argument_default=argparse.SUPPRESS)
+    # one flag per constructor parameter of the task's estimators, typed by
+    # its default and with no default of its own: a flag left out stays out
+    # of the namespace, so the estimator's default applies
+    for task, summary, source, source_help, func in (
+        ("cluster", "detect communities, write membership JSON", "--graph", "edge-list file",
+         cmd_cluster),
+        ("embed-nodes", "embed nodes, write embedding CSV", "--graph", "edge-list file",
+         cmd_embed_nodes),
+        ("embed-graphs", "embed a graph corpus, write CSV", "--corpus", "JSONL corpus file",
+         cmd_embed_graphs),
+    ):
+        p = sub.add_parser(task, help=summary, argument_default=argparse.SUPPRESS)
         p.add_argument("--algo", required=True, choices=list(_MODELS[task]))
+        p.add_argument(source, required=True, help=source_help)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int)
-        return p
-
-    p = model_parser("cluster", "detect communities, write membership JSON")
-    p.add_argument("--graph", required=True, help="edge-list file")
-    p.add_argument("--max-iterations", type=int, help="label-propagation round cap")
-    p.add_argument("--refinement-rounds", type=int, help="scd hill-climbing passes")
-    p.add_argument("--dimensions", type=int, help="symnmf factor count")
-    p.add_argument("--iterations", type=int, help="symnmf update cap")
-    p.add_argument("--tolerance", type=float, help="symnmf relative loss-change stop")
-    p.set_defaults(func=cmd_cluster)
-
-    p = model_parser("embed-nodes", "embed nodes, write embedding CSV")
-    p.add_argument("--graph", required=True, help="edge-list file")
-    p.add_argument("--dimensions", type=int, help="embedding width (walklets: per scale)")
-    p.add_argument("--walk-number", type=int)
-    p.add_argument("--walk-length", type=int)
-    p.add_argument("--window-size", type=int, help="deepwalk window / walklets scales")
-    p.add_argument("--negative-samples", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--order", type=int, help="netmf proximity order")
-    p.add_argument("--negatives", type=int, help="netmf negative factor")
-    p.set_defaults(func=cmd_embed_nodes)
-
-    p = model_parser("embed-graphs", "embed a graph corpus, write CSV")
-    p.add_argument("--corpus", required=True, help="JSONL corpus file")
-    p.add_argument("--dimensions", type=int, help="sf and wl-svd width (netlsd is fixed at 250)")
-    p.add_argument("--wl-iterations", type=int)
-    p.set_defaults(func=cmd_embed_graphs)
+        takers: dict = {}  # parameter -> the algorithms that take it, with their defaults
+        for algo, cls in _MODELS[task].items():
+            for param in inspect.signature(cls).parameters.values():
+                takers.setdefault(param.name, []).append((algo, param.default))
+        for name, uses in takers.items():
+            p.add_argument("--" + name.replace("_", "-"), type=type(uses[0][1]),
+                           help=", ".join(f"{algo}: {default}" for algo, default in uses))
+        p.set_defaults(func=func)
 
     p = sub.add_parser("eval", help="compute a metric, print it as a decimal")
     esub = p.add_subparsers(dest="metric", required=True)

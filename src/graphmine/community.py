@@ -13,6 +13,8 @@ equal clusterings compare equal.
 
 from __future__ import annotations
 
+from dataclasses import field
+
 import numpy as np
 
 from .errors import IncompleteMembership, InputContractError, RankTooLarge
@@ -84,9 +86,8 @@ class LabelPropagationModel(Estimator):
     Stops at the first round with no change, or after ``max_iterations``.
     """
 
-    def __init__(self, seed: int = 42, max_iterations: int = 100):
-        self.seed = seed
-        self.max_iterations = max_iterations
+    seed: int = 42
+    max_iterations: int = 100
 
     get_memberships = Estimator.getter("memberships")
 
@@ -133,8 +134,7 @@ class ScdModel(Estimator):
     become singletons.
     """
 
-    def __init__(self, refinement_rounds: int = 25):
-        self.refinement_rounds = refinement_rounds
+    refinement_rounds: int = 25
 
     get_memberships = Estimator.getter("memberships")
 
@@ -239,18 +239,11 @@ class SymNmfModel(Estimator):
     in ``loss_history_``.
     """
 
-    def __init__(
-        self,
-        dimensions: int = 32,
-        iterations: int = 200,
-        tolerance: float = 1e-6,
-        seed: int = 42,
-    ):
-        self.dimensions = dimensions
-        self.iterations = iterations
-        self.tolerance = tolerance
-        self.seed = seed
-        self.loss_history_: list | None = None
+    dimensions: int = 32
+    iterations: int = 200
+    tolerance: float = 1e-6
+    seed: int = 42
+    loss_history_: list | None = field(default=None, init=False)
 
     get_embedding = Estimator.getter("embedding")
     get_memberships = Estimator.getter("memberships")

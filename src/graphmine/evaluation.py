@@ -7,7 +7,7 @@ the split), so evaluation pipelines are reproducible end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,6 +85,7 @@ def train_test_split(n: int, ratio: float = 0.8, seed: int = 42) -> SplitIndices
     return SplitIndices(train=perm[:n_train], test=perm[n_train:], seed=seed)
 
 
+@dataclass(eq=False, repr=False)
 class SoftmaxModel:
     """L2-regularized multinomial logistic regression, trained by
     deterministic full-batch gradient descent from zero weights.
@@ -92,20 +93,16 @@ class SoftmaxModel:
     The learning rate halves automatically whenever a step would increase
     the regularized loss (the step is undone first), so the recorded loss
     sequence never increases.  The bias row is excluded from the penalty.
+    Hyperparameters are the constructor's fields; :func:`softmax_fit` sets
+    the rest.  Equality is by identity.
     """
 
-    def __init__(
-        self,
-        l2: float = 1e-4,
-        learning_rate: float = 0.1,
-        epochs: int = 500,
-    ):
-        self.l2 = l2
-        self.learning_rate = learning_rate
-        self.epochs = epochs
-        self.weights: np.ndarray | None = None  # (d+1) x c, bias first row
-        self.classes: int | None = None
-        self.loss_history_: list | None = None
+    l2: float = 1e-4
+    learning_rate: float = 0.1
+    epochs: int = 500
+    weights: np.ndarray | None = field(default=None, init=False)  # (d+1) x c, bias first row
+    classes: int | None = field(default=None, init=False)
+    loss_history_: list | None = field(default=None, init=False)
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:

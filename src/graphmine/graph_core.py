@@ -181,12 +181,18 @@ class ValidationReport:
 class Estimator:
     """Base class of every estimator.
 
-    Hyperparameters are attributes named after the constructor's
-    parameters.  Each estimator's ``fit`` checks them, stores each result
-    ``x`` as ``self._x`` and returns ``self``.  The getter made by
-    :meth:`getter` raises :class:`NotFitted` before that and returns a copy
-    after, so callers never share the fitted state.
+    A subclass declares its hyperparameters once, as annotated class
+    attributes with defaults; the base makes it a dataclass, so they are its
+    constructor's parameters, in declaration order, and public attributes.
+    Equality and hashing stay by identity, and no repr is generated.  Each
+    estimator's ``fit`` checks the hyperparameters, stores each result ``x``
+    as ``self._x`` and returns ``self``.  The getter made by :meth:`getter`
+    raises :class:`NotFitted` before that and returns a copy after, so
+    callers never share the fitted state.
     """
+
+    def __init_subclass__(cls):
+        dataclass(eq=False, repr=False)(cls)
 
     @staticmethod
     def getter(result: str):
@@ -214,13 +220,18 @@ class Estimator:
 # construction and validation
 # ---------------------------------------------------------------------------
 
+_MAX_NODES = 2**63 - 1  # node ids are int64
+_TOO_MANY_NODES = f"node count must be <= {_MAX_NODES}: node ids are int64"
+
+
 def build_graph(n: int, edges) -> Graph:
     """Build an undirected simple graph from unordered node pairs.
 
     (u, v) and (v, u) denote the same edge; supplying both, or the same pair
     twice, raises :class:`DuplicateEdge`.  Self-loops and endpoints outside
     0..n-1 are rejected rather than dropped, so upstream data bugs surface
-    loudly.
+    loudly.  Node ids are int64: an ``n`` above 2**63 - 1 raises
+    :class:`OutOfRangeNode` once every edge has passed those checks.
     """
     if n < 1:
         raise OutOfRangeNode(f"node count must be >= 1, got {n}")
@@ -231,10 +242,12 @@ def build_graph(n: int, edges) -> Graph:
     except (ValueError, OverflowError):  # ragged rows
         pairs = np.empty(0)
     # anything but in-range integer pairs (floats, strings, bools, objects,
-    # ints beyond 64 bits) goes through the loop, which takes int() of each
-    # endpoint and raises for the first faulty edge
+    # ints beyond 64 bits) or a node count beyond int64 goes through the
+    # loop, which takes int() of each endpoint and raises for the first
+    # faulty edge
     if (
-        pairs.dtype.kind not in "iu"
+        n > _MAX_NODES
+        or pairs.dtype.kind not in "iu"
         or pairs.shape[1:] != (2,)
         or pairs.min(initial=0) < 0
         or pairs.max(initial=0) >= n
@@ -269,6 +282,8 @@ def _checked_pairs(n: int, edges) -> np.ndarray:
         if key in seen:
             raise DuplicateEdge(f"edge ({u},{v}) given more than once")
         seen.add(key)
+    if n > _MAX_NODES:
+        raise OutOfRangeNode(_TOO_MANY_NODES)
     return np.array(list(seen), dtype=np.int64).reshape(-1, 2)
 
 
@@ -323,6 +338,8 @@ def erdos_renyi_gnm(
     """
     if n < 1:
         raise OutOfRangeNode(f"node count must be >= 1, got {n}")
+    if n > _MAX_NODES:
+        raise OutOfRangeNode(_TOO_MANY_NODES)
     max_m = n * (n - 1) // 2
     if m < 0 or m > max_m:
         raise TooManyEdges(f"{m} edges requested, graph of {n} nodes admits at most {max_m}")

@@ -139,8 +139,7 @@ class SfModel(Estimator):
     """Spectral fingerprint: the smallest normalized-Laplacian eigenvalues,
     ascending, zero-padded on the right for graphs smaller than the width."""
 
-    def __init__(self, dimensions: int = 32):
-        self.dimensions = dimensions
+    dimensions: int = 32
 
     get_embedding = Estimator.getter("embedding")
 
@@ -160,9 +159,9 @@ class NetLsdModel(Estimator):
     normalized-Laplacian spectrum, evaluated on a fixed grid of 250 time
     points log-spaced on [1e-2, 1e2]."""
 
-    def __init__(self):
-        self.time_points = np.logspace(-2.0, 2.0, 250)
-        self.time_points.setflags(write=False)
+    # not a field: a dataclass rejects an array default, and the grid is fixed
+    time_points = np.logspace(-2.0, 2.0, 250)
+    time_points.setflags(write=False)
 
     get_embedding = Estimator.getter("embedding")
 
@@ -184,10 +183,9 @@ class WlSvdModel(Estimator):
     when the matrix admits fewer than ``dimensions`` components.
     """
 
-    def __init__(self, wl_iterations: int = 2, dimensions: int = 128, seed: int = 42):
-        self.wl_iterations = wl_iterations
-        self.dimensions = dimensions
-        self.seed = seed
+    wl_iterations: int = 2
+    dimensions: int = 128
+    seed: int = 42
 
     get_embedding = Estimator.getter("embedding")
 

@@ -17,7 +17,7 @@ fit is a pure function of (graph, hyperparameters, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -356,72 +356,53 @@ def sgns_train(corpus: WalkCorpus, params: SkipGramParams) -> np.ndarray:
 # estimators
 # ---------------------------------------------------------------------------
 
-def _walk_model_init(dimensions: int, window_size: int):
-    """The ``__init__`` shared by :class:`DeepWalkModel` and
-    :class:`WalkletsModel`, which take the same eight hyperparameters and
-    differ only in the defaults of ``dimensions`` and ``window_size``."""
+class _WalkModel(Estimator):
+    """The hyperparameters, getter and set-up shared by :class:`DeepWalkModel`
+    and :class:`WalkletsModel`, which differ in the defaults of
+    ``dimensions`` and ``window_size`` and in the pairs they train on."""
 
-    def __init__(
-        self,
-        walk_number: int = 10,
-        walk_length: int = 80,
-        dimensions: int = dimensions,
-        window_size: int = window_size,
-        negative_samples: int = 5,
-        epochs: int = 1,
-        learning_rate: float = 0.025,
-        seed: int = 42,
-    ):
-        self.walk_number = walk_number
-        self.walk_length = walk_length
-        self.dimensions = dimensions
-        self.window_size = window_size
-        self.negative_samples = negative_samples
-        self.epochs = epochs
-        self.learning_rate = learning_rate
-        self.seed = seed
+    walk_number: int = 10
+    walk_length: int = 80
+    dimensions: int = 128
+    window_size: int = 5
+    negative_samples: int = 5
+    epochs: int = 1
+    learning_rate: float = 0.025
+    seed: int = 42
 
-    return __init__
-
-
-def _skip_gram_setup(model, g: Graph) -> tuple[SkipGramParams, WalkCorpus]:
-    """Check a walk model's hyperparameters; return its trainer settings and
-    its walks on ``g``."""
-    model._require_at_least(
-        walk_number=1, walk_length=2, dimensions=1, window_size=1,
-        negative_samples=0, epochs=1,
-    )
-    if not 0.0 < model.learning_rate < np.inf:
-        raise InputContractError(
-            f"learning_rate must be a positive finite number, got {model.learning_rate!r}"
-        )
-    params = SkipGramParams(
-        dimensions=model.dimensions, window_size=model.window_size,
-        negative_samples=model.negative_samples, epochs=model.epochs,
-        learning_rate=model.learning_rate, seed=model.seed,
-    )
-    rng = RandomSource(model.seed, 0)
-    return params, generate_walks(g, model.walk_number, model.walk_length, rng)
-
-
-class DeepWalkModel(Estimator):
-    """Truncated random walks + skip-gram over window co-occurrences."""
-
-    __init__ = _walk_model_init(dimensions=128, window_size=5)
     get_embedding = Estimator.getter("embedding")
 
+    def _walks(self, g: Graph) -> tuple[SkipGramParams, WalkCorpus]:
+        """Check the hyperparameters; return the trainer settings and the
+        walks on ``g``."""
+        self._require_at_least(
+            walk_number=1, walk_length=2, dimensions=1, window_size=1,
+            negative_samples=0, epochs=1,
+        )
+        if not 0.0 < self.learning_rate < np.inf:
+            raise InputContractError(
+                f"learning_rate must be a positive finite number, got {self.learning_rate!r}"
+            )
+        params = SkipGramParams(**{f.name: getattr(self, f.name) for f in fields(SkipGramParams)})
+        rng = RandomSource(self.seed, 0)
+        return params, generate_walks(g, self.walk_number, self.walk_length, rng)
+
+
+class DeepWalkModel(_WalkModel):
+    """Truncated random walks + skip-gram over window co-occurrences."""
+
     def fit(self, g: Graph) -> "DeepWalkModel":
-        params, corpus = _skip_gram_setup(self, g)
+        params, corpus = self._walks(g)
         self._embedding = sgns_train(corpus, params)
         return self
 
 
-class WalkletsModel(Estimator):
+class WalkletsModel(_WalkModel):
     """Multi-scale skip-gram: one model per exact walk offset 1..window_size,
     embeddings concatenated in scale order (width = window_size * dimensions)."""
 
-    __init__ = _walk_model_init(dimensions=32, window_size=4)
-    get_embedding = Estimator.getter("embedding")
+    dimensions: int = 32
+    window_size: int = 4
 
     def fit(self, g: Graph) -> "WalkletsModel":
         # scale walk_length has no pairs: known before any walk is drawn
@@ -430,7 +411,7 @@ class WalkletsModel(Estimator):
                 f"window_size {self.window_size} needs walks longer than it, "
                 f"got walk_length {self.walk_length}"
             )
-        params, corpus = _skip_gram_setup(self, g)
+        params, corpus = self._walks(g)
         length = self.walk_length
         self._embedding = np.concatenate([
             _train_pairs(
@@ -451,17 +432,10 @@ class NetMfModel(Estimator):
     embedding is U * sqrt(singular values) from the truncated SVD.
     """
 
-    def __init__(
-        self,
-        dimensions: int = 32,
-        order: int = 2,
-        negatives: int = 1,
-        seed: int = 42,
-    ):
-        self.dimensions = dimensions
-        self.order = order
-        self.negatives = negatives
-        self.seed = seed
+    dimensions: int = 32
+    order: int = 2
+    negatives: int = 1
+    seed: int = 42
 
     get_embedding = Estimator.getter("embedding")
 

@@ -222,18 +222,30 @@ def test_malformed_files_exit_2_without_traceback(tmp_path, capsys):
         assert res.returncode == 2, args
         assert "Traceback" not in res.stderr
         assert "error:" in res.stderr
-    # node counts whose arrays exceed any address space: the allocation
-    # fails at once, so these run in process
+    # node counts whose arrays exceed any address space, or beyond int64:
+    # the allocation or the check fails at once, so these run in process
     huge = tmp_path / "huge.csv"
     huge.write_text("# nodes=1000000000000000\n0,1\n")
     huge_corpus = tmp_path / "huge.jsonl"
     huge_corpus.write_text('{"edges": [[0, 1000000000000000]]}\n')
+    beyond = tmp_path / "beyond.csv"
+    beyond.write_text(f"# nodes={10**30}\n0,1\n")
+    beyond_end = tmp_path / "beyond_end.csv"
+    beyond_end.write_text(f"0,{10**30}\n")
+    beyond_corpus = tmp_path / "beyond.jsonl"
+    beyond_corpus.write_text(f'{{"edges": [[0, {10**30}]]}}\n')
     for args in (
         ("cluster", "--algo", "label-propagation", "--graph", huge),
         ("embed-graphs", "--algo", "wl-svd", "--corpus", huge_corpus),
+        ("cluster", "--algo", "label-propagation", "--graph", beyond),
+        ("cluster", "--algo", "label-propagation", "--graph", beyond_end),
+        ("embed-graphs", "--algo", "sf", "--corpus", beyond_corpus),
+        ("generate", "--nodes", 10**30, "--edges", 1),
+        ("bench", "--task", "cluster", "--algo", "scd", "--sizes", 10**24),
     ):
         assert main([str(a) for a in args]) == 2, args
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_threads_flag_is_accepted(tmp_path):
@@ -252,6 +264,59 @@ def test_unset_flags_leave_the_estimator_defaults(task, algo):
     assert type(built) is cls
     for name in inspect.signature(cls).parameters:
         assert getattr(built, name) == getattr(default, name), name
+
+
+@pytest.mark.parametrize(
+    "task, algo, name",
+    [
+        (task, algo, name)
+        for task in _MODELS
+        for algo in _MODELS[task]
+        for name in inspect.signature(_MODELS[task][algo]).parameters
+    ],
+)
+def test_each_flag_reaches_its_estimator_parameter(task, algo, name):
+    default = inspect.signature(_MODELS[task][algo]).parameters[name].default
+    value = default + 1 if isinstance(default, int) else default * 3
+    source = "--corpus" if task == "embed-graphs" else "--graph"
+    flag = "--" + name.replace("_", "-")
+    args = build_parser().parse_args([task, "--algo", algo, source, "in", flag, str(value)])
+    built = getattr(_model(task, args), name)
+    assert built == value and type(built) is type(default)
+
+
+# the flags each model command has always had: (name, type, required)
+_MODEL_FLAGS = {
+    "cluster": {
+        ("-h", None, False), ("--help", None, False), ("--algo", None, True),
+        ("--graph", None, True), ("--out", None, False), ("--seed", int, False),
+        ("--max-iterations", int, False), ("--refinement-rounds", int, False),
+        ("--dimensions", int, False), ("--iterations", int, False),
+        ("--tolerance", float, False),
+    },
+    "embed-nodes": {
+        ("-h", None, False), ("--help", None, False), ("--algo", None, True),
+        ("--graph", None, True), ("--out", None, False), ("--seed", int, False),
+        ("--dimensions", int, False), ("--walk-number", int, False),
+        ("--walk-length", int, False), ("--window-size", int, False),
+        ("--negative-samples", int, False), ("--epochs", int, False),
+        ("--learning-rate", float, False), ("--order", int, False),
+        ("--negatives", int, False),
+    },
+    "embed-graphs": {
+        ("-h", None, False), ("--help", None, False), ("--algo", None, True),
+        ("--corpus", None, True), ("--out", None, False), ("--seed", int, False),
+        ("--dimensions", int, False), ("--wl-iterations", int, False),
+    },
+}
+
+
+@pytest.mark.parametrize("task", list(_MODEL_FLAGS))
+def test_model_commands_keep_their_flags(task):
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    actions = commands.choices[task]._actions
+    flags = {(opt, a.type, a.required) for a in actions for opt in a.option_strings}
+    assert flags == _MODEL_FLAGS[task]
 
 
 @pytest.mark.parametrize(

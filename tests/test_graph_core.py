@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from graphmine import (
     ScdModel,
     SelfLoop,
     SfModel,
+    SoftmaxModel,
     SymNmfModel,
     TooManyEdges,
     WalkletsModel,
@@ -292,3 +295,36 @@ def test_estimator_lifecycle(make, getters):
         else:
             handed.fill(-7.0)
             assert np.array_equal(getattr(model, name)(), kept)
+
+
+# every constructor parameter, in order, with its default: a field that a
+# subclass redeclares must keep its place
+_SIGNATURES = {
+    LabelPropagationModel: [("seed", 42), ("max_iterations", 100)],
+    ScdModel: [("refinement_rounds", 25)],
+    SymNmfModel: [("dimensions", 32), ("iterations", 200), ("tolerance", 1e-6), ("seed", 42)],
+    DeepWalkModel: [("walk_number", 10), ("walk_length", 80), ("dimensions", 128),
+                    ("window_size", 5), ("negative_samples", 5), ("epochs", 1),
+                    ("learning_rate", 0.025), ("seed", 42)],
+    WalkletsModel: [("walk_number", 10), ("walk_length", 80), ("dimensions", 32),
+                    ("window_size", 4), ("negative_samples", 5), ("epochs", 1),
+                    ("learning_rate", 0.025), ("seed", 42)],
+    NetMfModel: [("dimensions", 32), ("order", 2), ("negatives", 1), ("seed", 42)],
+    SfModel: [("dimensions", 32)],
+    NetLsdModel: [],
+    WlSvdModel: [("wl_iterations", 2), ("dimensions", 128), ("seed", 42)],
+    SoftmaxModel: [("l2", 1e-4), ("learning_rate", 0.1), ("epochs", 500)],
+}
+
+
+@pytest.mark.parametrize("cls", list(_SIGNATURES), ids=lambda cls: cls.__name__)
+def test_constructor_signatures_and_identity(cls):
+    params = list(inspect.signature(cls).parameters.values())
+    assert [(p.name, p.default) for p in params] == _SIGNATURES[cls]
+    assert [type(p.default) for p in params] == [type(d) for _, d in _SIGNATURES[cls]]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    model = cls()
+    assert [getattr(model, p.name) for p in params] == [p.default for p in params]
+    twin = cls()
+    assert model != twin and model == model
+    assert len({model, twin}) == 2

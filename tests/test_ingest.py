@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from graphmine import (
     ConnectivityRetryExhausted,
+    OutOfRangeNode,
     RandomSource,
     build_graph,
     erdos_renyi_gnm,
@@ -39,6 +40,15 @@ def _outcome(call, *args):
     except Exception as exc:  # compared, not handled
         return type(exc), str(exc)
     return g.node_count, g.offsets.dtype, g.offsets.tolist(), g.targets.dtype, g.targets.tolist()
+
+
+def _reference(call, *args):
+    """The frozen loop's outcome, except where it overflows: its node count
+    is beyond int64, which the package rejects once every edge passed."""
+    outcome = _outcome(call, *args)
+    if outcome[0] is OverflowError:
+        return OutOfRangeNode, f"node count must be <= {2**63 - 1}: node ids are int64"
+    return outcome
 
 
 # --- read_edge_list against the per-line reader ---
@@ -75,7 +85,7 @@ def _compare_readers(data: bytes) -> None:
             declared = None  # a parse fault: nothing is allocated
         if declared is not None and _NODE_CAP < declared <= np.iinfo(np.int64).max:
             return
-        assert _outcome(read_edge_list, path) == _outcome(read_edge_list_by_line, path)
+        assert _outcome(read_edge_list, path) == _reference(read_edge_list_by_line, path)
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None,
@@ -158,7 +168,7 @@ _BUILD_CASES = [
 
 @pytest.mark.parametrize("n, edges", _BUILD_CASES, ids=range(len(_BUILD_CASES)))
 def test_build_graph_matches_the_per_edge_loop(n, edges):
-    assert _outcome(build_graph, n, edges) == _outcome(build_graph_by_edge, n, edges)
+    assert _outcome(build_graph, n, edges) == _reference(build_graph_by_edge, n, edges)
 
 
 def test_build_graph_takes_any_iterable_of_pairs():
@@ -214,6 +224,16 @@ def test_gnm_too_few_edges_to_connect_fails_before_drawing(monkeypatch):
     with pytest.raises(ConnectivityRetryExhausted) as info:
         erdos_renyi_gnm(100000, 10, RandomSource(0, 0), connected=True)
     assert str(info.value) == "no connected G(100000,10) found in 100 attempts from seed 0"
+
+
+@pytest.mark.parametrize("n", [2**63, 10**30])
+def test_gnm_node_count_beyond_int64_fails_before_drawing(monkeypatch, n):
+    def no_draws(self):
+        raise AssertionError("drew a graph whose ids are beyond int64")
+
+    monkeypatch.setattr(RandomSource, "generator", no_draws)
+    with pytest.raises(OutOfRangeNode, match="node ids are int64"):
+        erdos_renyi_gnm(n, 1, RandomSource(0, 0))
 
 
 def test_generate_too_few_edges_to_connect_exits_3_at_once(capsys):
