@@ -60,6 +60,18 @@ _MODELS = {
 }
 
 
+# model command -> (summary, input flag, its help, io reader, fitted model -> output text);
+# the reader is looked up in io per call, so that a wrapper installed there sees the call
+_TASKS = {
+    "cluster": ("detect communities, write membership JSON", "--graph", "edge-list file",
+                "read_edge_list", lambda m: formats.membership_text(m.get_memberships())),
+    "embed-nodes": ("embed nodes, write embedding CSV", "--graph", "edge-list file",
+                    "read_edge_list", lambda m: formats.embedding_text(m.get_embedding())),
+    "embed-graphs": ("embed a graph corpus, write CSV", "--corpus", "JSONL corpus file",
+                     "read_corpus_jsonl", lambda m: formats.embedding_text(m.get_embedding())),
+}
+
+
 def _model(task: str, args):
     """Build the estimator for ``args.algo`` from the flags named by its
     constructor's parameters.  Hyperparameter flags the user did not pass
@@ -75,8 +87,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        formats._write(text, out)
 
 
 # --- command implementations ---
@@ -89,24 +100,10 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_cluster(args) -> int:
-    g = formats.read_edge_list(args.graph)
-    model = _model("cluster", args).fit(g)
-    _emit(formats.membership_text(model.get_memberships()), args.out)
-    return 0
-
-
-def cmd_embed_nodes(args) -> int:
-    g = formats.read_edge_list(args.graph)
-    model = _model("embed-nodes", args).fit(g)
-    _emit(formats.embedding_text(model.get_embedding()), args.out)
-    return 0
-
-
-def cmd_embed_graphs(args) -> int:
-    corpus = formats.read_corpus_jsonl(args.corpus)
-    model = _model("embed-graphs", args).fit(corpus)
-    _emit(formats.embedding_text(model.get_embedding()), args.out)
+def cmd_model(args) -> int:
+    _, source, _, read, encode = _TASKS[args.command]
+    data = getattr(formats, read)(getattr(args, source.removeprefix("--")))
+    _emit(encode(_model(args.command, args).fit(data)), args.out)
     return 0
 
 
@@ -202,31 +199,25 @@ def build_parser() -> argparse.ArgumentParser:
         "own environment, e.g. OPENBLAS_NUM_THREADS)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
 
-    p = sub.add_parser("generate", help="write a uniform random graph edge list")
+    p = sub.add_parser("generate", parents=[out],
+                       help="write a uniform random graph edge list")
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--edges", type=int, required=True)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--connected", action="store_true",
                    help="retry until the sample is connected (up to 100 draws)")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_generate)
 
     # one flag per constructor parameter of the task's estimators, typed by
     # its default and with no default of its own: a flag left out stays out
     # of the namespace, so the estimator's default applies
-    for task, summary, source, source_help, func in (
-        ("cluster", "detect communities, write membership JSON", "--graph", "edge-list file",
-         cmd_cluster),
-        ("embed-nodes", "embed nodes, write embedding CSV", "--graph", "edge-list file",
-         cmd_embed_nodes),
-        ("embed-graphs", "embed a graph corpus, write CSV", "--corpus", "JSONL corpus file",
-         cmd_embed_graphs),
-    ):
-        p = sub.add_parser(task, help=summary, argument_default=argparse.SUPPRESS)
+    for task, (summary, source, source_help, _, _) in _TASKS.items():
+        p = sub.add_parser(task, parents=[out], help=summary, argument_default=argparse.SUPPRESS)
         p.add_argument("--algo", required=True, choices=list(_MODELS[task]))
         p.add_argument(source, required=True, help=source_help)
-        p.add_argument("--out", default=None)
         takers: dict = {}  # parameter -> the algorithms that take it, with their defaults
         for algo, cls in _MODELS[task].items():
             for param in inspect.signature(cls).parameters.values():
@@ -234,33 +225,29 @@ def build_parser() -> argparse.ArgumentParser:
         for name, uses in takers.items():
             p.add_argument("--" + name.replace("_", "-"), type=type(uses[0][1]),
                            help=", ".join(f"{algo}: {default}" for algo, default in uses))
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_model)
 
     p = sub.add_parser("eval", help="compute a metric, print it as a decimal")
+    p.set_defaults(func=cmd_eval)
     esub = p.add_subparsers(dest="metric", required=True)
 
-    e = esub.add_parser("nmi", help="agreement of two membership files")
+    e = esub.add_parser("nmi", parents=[out], help="agreement of two membership files")
     e.add_argument("--a", required=True)
     e.add_argument("--b", required=True)
-    e.add_argument("--out", default=None)
-    e.set_defaults(func=cmd_eval)
 
-    e = esub.add_parser("modularity", help="partition quality on a graph")
+    e = esub.add_parser("modularity", parents=[out], help="partition quality on a graph")
     e.add_argument("--graph", required=True)
     e.add_argument("--membership", required=True)
-    e.add_argument("--out", default=None)
-    e.set_defaults(func=cmd_eval)
 
-    e = esub.add_parser("classify",
+    e = esub.add_parser("classify", parents=[out],
                         help="split/softmax/AUC pipeline on an embedding")
     e.add_argument("--embedding", required=True)
     e.add_argument("--labels", required=True)
     e.add_argument("--ratio", type=float, default=0.8)
     e.add_argument("--seed", type=int, default=42)
-    e.add_argument("--out", default=None)
-    e.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="wall-clock fits on connected G(n, degree*n/2)")
+    p = sub.add_parser("bench", parents=[out],
+                       help="wall-clock fits on connected G(n, degree*n/2)")
     p.add_argument("--task", required=True, choices=["cluster", "embed-nodes"])
     p.add_argument("--algo", required=True)
     p.add_argument("--sizes", required=True,
@@ -270,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "try 5,10,20,40 for a densification sweep)")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -280,12 +266,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GraphContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except GraphMineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, GraphContractError) else 2
     except (OSError, MemoryError) as exc:
         # MemoryError: an input declaring more nodes than can be allocated
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -221,7 +221,14 @@ class Estimator:
 # ---------------------------------------------------------------------------
 
 _MAX_NODES = 2**63 - 1  # node ids are int64
-_TOO_MANY_NODES = f"node count must be <= {_MAX_NODES}: node ids are int64"
+_MAX_ADDRESSABLE = np.iinfo(np.intp).max // 8 - 1  # n + 1 int64 offsets fit in one array
+
+
+def _check_node_count(n: int) -> None:
+    if n > _MAX_NODES:
+        raise OutOfRangeNode(f"node count must be <= {_MAX_NODES}: node ids are int64")
+    if n > _MAX_ADDRESSABLE:
+        raise OutOfRangeNode(f"node count must be <= {_MAX_ADDRESSABLE}: offsets not addressable")
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -230,8 +237,9 @@ def build_graph(n: int, edges) -> Graph:
     (u, v) and (v, u) denote the same edge; supplying both, or the same pair
     twice, raises :class:`DuplicateEdge`.  Self-loops and endpoints outside
     0..n-1 are rejected rather than dropped, so upstream data bugs surface
-    loudly.  Node ids are int64: an ``n`` above 2**63 - 1 raises
-    :class:`OutOfRangeNode` once every edge has passed those checks.
+    loudly.  Node ids are int64 and the n + 1 offsets must be addressable: an
+    ``n`` above 2**60 - 2 (64-bit builds) raises :class:`OutOfRangeNode`
+    once every edge has passed those checks.
     """
     if n < 1:
         raise OutOfRangeNode(f"node count must be >= 1, got {n}")
@@ -242,11 +250,11 @@ def build_graph(n: int, edges) -> Graph:
     except (ValueError, OverflowError):  # ragged rows
         pairs = np.empty(0)
     # anything but in-range integer pairs (floats, strings, bools, objects,
-    # ints beyond 64 bits) or a node count beyond int64 goes through the
-    # loop, which takes int() of each endpoint and raises for the first
+    # ints beyond 64 bits) or a node count too large to address goes through
+    # the loop, which takes int() of each endpoint and raises for the first
     # faulty edge
     if (
-        n > _MAX_NODES
+        n > _MAX_ADDRESSABLE
         or pairs.dtype.kind not in "iu"
         or pairs.shape[1:] != (2,)
         or pairs.min(initial=0) < 0
@@ -282,8 +290,7 @@ def _checked_pairs(n: int, edges) -> np.ndarray:
         if key in seen:
             raise DuplicateEdge(f"edge ({u},{v}) given more than once")
         seen.add(key)
-    if n > _MAX_NODES:
-        raise OutOfRangeNode(_TOO_MANY_NODES)
+    _check_node_count(n)
     return np.array(list(seen), dtype=np.int64).reshape(-1, 2)
 
 
@@ -338,8 +345,7 @@ def erdos_renyi_gnm(
     """
     if n < 1:
         raise OutOfRangeNode(f"node count must be >= 1, got {n}")
-    if n > _MAX_NODES:
-        raise OutOfRangeNode(_TOO_MANY_NODES)
+    _check_node_count(n)
     max_m = n * (n - 1) // 2
     if m < 0 or m > max_m:
         raise TooManyEdges(f"{m} edges requested, graph of {n} nodes admits at most {max_m}")

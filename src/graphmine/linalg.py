@@ -100,9 +100,7 @@ def randomized_svd(a: _sp.spmatrix, k: int, rng: RandomSource) -> SvdResult:
         w, _ = np.linalg.qr(m.T @ q)
         q, _ = np.linalg.qr(m @ w)
     b = q.T @ m  # sketch x cols, dense
-    gram = b @ b.T
-    gram = 0.5 * (gram + gram.T)
-    lam, ub = _eigh(gram)
+    lam, ub = _eigh(b @ b.T)
     order = np.argsort(lam, kind="stable")[::-1][:k]
     lam = np.maximum(lam[order], 0.0)
     sigma = np.sqrt(lam)

@@ -18,7 +18,6 @@ fit is a pure function of (graph, hyperparameters, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -97,12 +96,15 @@ def generate_walks(
     g: Graph, walk_number: int, walk_length: int, rng: RandomSource
 ) -> WalkCorpus:
     """``walk_number`` uniform random walks of ``walk_length`` nodes from
-    every node.
+    every node; :class:`InputContractError` unless both are at least 1.
 
     Walk w starts at node ``w % n`` and consumes only ``rng.child(w)``, so
     any execution order (or parallel fan-out) reproduces the same corpus.
     All walks advance together: one vectorized neighbor lookup per step.
     """
+    for name, value in (("walk_number", walk_number), ("walk_length", walk_length)):
+        if value < 1:
+            raise InputContractError(f"{name} must be >= 1, got {value!r}")
     require_connected(g)
     if g.edge_count == 0:
         # a single isolated node is "connected" but walkless
@@ -110,7 +112,7 @@ def generate_walks(
     n = g.node_count
     total = walk_number * n
     steps = walk_length - 1
-    uniforms = np.empty((total, steps)) if steps > 0 else np.empty((total, 0))
+    uniforms = np.empty((total, steps))
     for w in range(total):
         uniforms[w] = rng.child(w).generator().random(steps)
     walks = np.empty((total, walk_length), dtype=np.int64)
@@ -182,7 +184,6 @@ def _sgns_steps(
     np.multiply(coef_neg[:, :, None], uc[:, None, :], out=out[2 * b:].reshape(b, k, d))
 
 
-@lru_cache(maxsize=32)
 def _window_template(length: int, window: int) -> tuple[np.ndarray, np.ndarray]:
     """(center, context) position pairs for one walk: every ordered pair at
     distance 1..window, centers left to right."""
@@ -457,7 +458,6 @@ class NetMfModel(Estimator):
             power = power @ p
             acc = acc + power
         m = (vol / (self.negatives * self.order)) * (acc @ d_inv)
-        m = sparse.csr_matrix(m)
         # log of entries clamped to >= 1: entries <= 1 map to exactly 0,
         # so sparsity is preserved without approximation
         m.data = np.log(np.maximum(m.data, 1.0))

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import subprocess
@@ -19,6 +20,7 @@ from graphmine import (
     write_labels_csv,
     write_membership,
 )
+from graphmine import io
 from graphmine.cli import _MODELS, _model, build_parser, main
 from builders import random_connected, triangle_pair, two_cliques
 
@@ -201,6 +203,25 @@ def test_stdout_matches_the_library_writers(graph_file, tmp_path):
     assert res.stdout == path.read_text()
 
 
+def test_model_commands_read_through_io_at_call_time(graph_file, tmp_path, monkeypatch):
+    # a wrapper installed on io after import, as perfbench's tracer does,
+    # must see every read of the model commands
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"edges": [[0, 1], [1, 2]]}\n')
+    seen = []
+    for name in ("read_edge_list", "read_corpus_jsonl"):
+        real = getattr(io, name)
+        monkeypatch.setattr(io, name, lambda path, real=real: seen.append(path) or real(path))
+    out = str(tmp_path / "out")
+    for args in (
+        ("cluster", "--algo", "label-propagation", "--graph", graph_file),
+        ("embed-nodes", "--algo", "netmf", "--graph", graph_file, "--dimensions", "2"),
+        ("embed-graphs", "--algo", "sf", "--corpus", str(corpus), "--dimensions", "2"),
+    ):
+        assert main([*args, "--out", out]) == 0, args
+    assert seen == [graph_file, graph_file, str(corpus)]
+
+
 def test_malformed_files_exit_2_without_traceback(tmp_path, capsys):
     members = tmp_path / "m.json"
     members.write_text('{"0": 0,')
@@ -234,7 +255,13 @@ def test_malformed_files_exit_2_without_traceback(tmp_path, capsys):
     beyond_end.write_text(f"0,{10**30}\n")
     beyond_corpus = tmp_path / "beyond.jsonl"
     beyond_corpus.write_text(f'{{"edges": [[0, {10**30}]]}}\n')
+    # within int64, but the n + 1 int64 offsets exceed any address space
+    unaddressable = {n: tmp_path / f"nodes{n}.csv" for n in (2**60, 2**62, 2**63 - 1)}
+    for n, path in unaddressable.items():
+        path.write_text(f"# nodes={n}\n0,1\n")
     for args in (
+        *(("cluster", "--algo", "label-propagation", "--graph", p) for p in unaddressable.values()),
+        ("generate", "--nodes", 2**62, "--edges", 1),
         ("cluster", "--algo", "label-propagation", "--graph", huge),
         ("embed-graphs", "--algo", "wl-svd", "--corpus", huge_corpus),
         ("cluster", "--algo", "label-propagation", "--graph", beyond),
@@ -311,12 +338,49 @@ _MODEL_FLAGS = {
 }
 
 
+def _flags(*path):
+    """(option string, type, required, default) of each flag of the
+    subcommand at ``path``, e.g. ``("eval", "nmi")``."""
+    parser = build_parser()
+    for name in path:
+        parser = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices[name]
+    return {(opt, a.type, a.required, a.default) for a in parser._actions for opt in a.option_strings}
+
+
 @pytest.mark.parametrize("task", list(_MODEL_FLAGS))
 def test_model_commands_keep_their_flags(task):
-    commands = next(a for a in build_parser()._actions if a.dest == "command")
-    actions = commands.choices[task]._actions
-    flags = {(opt, a.type, a.required) for a in actions for opt in a.option_strings}
+    flags = {flag[:3] for flag in _flags(task)}
     assert flags == _MODEL_FLAGS[task]
+
+
+# the flags of the other commands, with their defaults
+_HELP_AND_OUT = {
+    ("-h", None, False, argparse.SUPPRESS), ("--help", None, False, argparse.SUPPRESS),
+    ("--out", None, False, None),
+}
+_COMMAND_FLAGS = {
+    ("generate",): {
+        ("--nodes", int, True, None), ("--edges", int, True, None),
+        ("--seed", int, False, 42), ("--connected", None, False, False),
+    },
+    ("eval", "nmi"): {("--a", None, True, None), ("--b", None, True, None)},
+    ("eval", "modularity"): {("--graph", None, True, None), ("--membership", None, True, None)},
+    ("eval", "classify"): {
+        ("--embedding", None, True, None), ("--labels", None, True, None),
+        ("--ratio", float, False, 0.8), ("--seed", int, False, 42),
+    },
+    ("bench",): {
+        ("--task", None, True, None), ("--algo", None, True, None), ("--sizes", None, True, None),
+        ("--degree", None, False, "10"), ("--repeats", int, False, 3), ("--seed", int, False, 42),
+    },
+}
+
+
+@pytest.mark.parametrize("path", list(_COMMAND_FLAGS), ids=" ".join)
+def test_other_commands_keep_their_flags(path):
+    assert _flags(*path) == _HELP_AND_OUT | _COMMAND_FLAGS[path]
 
 
 @pytest.mark.parametrize(

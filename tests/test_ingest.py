@@ -236,6 +236,16 @@ def test_gnm_node_count_beyond_int64_fails_before_drawing(monkeypatch, n):
         erdos_renyi_gnm(n, 1, RandomSource(0, 0))
 
 
+@pytest.mark.parametrize("n", [2**60 - 1, 2**62, 2**63 - 1])
+def test_gnm_unaddressable_node_count_fails_before_drawing(monkeypatch, n):
+    def no_draws(self):
+        raise AssertionError("drew a graph whose offsets cannot be addressed")
+
+    monkeypatch.setattr(RandomSource, "generator", no_draws)
+    with pytest.raises(OutOfRangeNode, match="offsets not addressable"):
+        erdos_renyi_gnm(n, 1, RandomSource(0, 0))
+
+
 def test_generate_too_few_edges_to_connect_exits_3_at_once(capsys):
     args = ["generate", "--nodes", "100000", "--edges", "10", "--connected", "--seed", "4"]
     assert main(args) == 3

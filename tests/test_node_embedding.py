@@ -9,6 +9,7 @@ from graphmine import (
     DisconnectedGraph,
     EmptyCorpus,
     GraphTooLarge,
+    InputContractError,
     IsolatedNode,
     NETMF_NODE_CAP,
     NetMfModel,
@@ -101,6 +102,12 @@ def test_walk_length_one_emits_only_starts():
     walks = generate_walks(g, 2, 1, RandomSource(0, 0)).walks
     assert walks.shape == (8, 1)
     assert np.array_equal(walks[:, 0], np.tile(np.arange(4), 2))
+
+
+@pytest.mark.parametrize("walk_number, walk_length", [(0, 5), (-1, 5), (2, 0), (2, -3)])
+def test_walks_reject_counts_below_one(walk_number, walk_length):
+    with pytest.raises(InputContractError, match="must be >= 1"):
+        generate_walks(path_graph(4), walk_number, walk_length, RandomSource(0, 0))
 
 
 def test_walks_reject_unusable_graphs():
