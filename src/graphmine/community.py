@@ -62,12 +62,11 @@ def modularity(g: Graph, memberships: dict) -> float:
     labels = np.array([memberships[v] for v in range(n)], dtype=np.int64)
     _, labels = np.unique(labels, return_inverse=True)
     c = int(labels.max()) + 1
-    deg = g.degrees.astype(np.float64)
-    degree_per_cluster = np.bincount(labels, weights=deg, minlength=c)
-    heads = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
-    same = labels[heads] == labels[g.targets]
+    degree_per_cluster = np.bincount(labels, weights=g.degrees, minlength=c)
+    head_labels = np.repeat(labels, g.degrees)
+    same = head_labels == labels[g.targets]
     # each intra edge appears twice in the flat adjacency
-    intra = np.bincount(labels[heads][same], minlength=c) / 2.0
+    intra = np.bincount(head_labels[same], minlength=c) / 2.0
     q = intra / m - (degree_per_cluster / (2.0 * m)) ** 2
     return float(q.sum())
 
@@ -152,20 +151,16 @@ class ScdModel(Estimator):
         order = np.argsort(-cc, kind="stable").tolist()  # ties by ascending id
 
         labels = [-1] * n
-        next_label = 0
+        members: dict[int, set] = {}  # label -> its nodes; labels are 0, 1, ... in seeding order
         for v in order:
             if labels[v] != -1:
                 continue
-            labels[v] = next_label
+            group = {v}
             if t_counts[v] > 0:
-                for u in nbrs[v]:
-                    if labels[u] == -1 and t_counts[u] > 0:
-                        labels[u] = next_label
-            next_label += 1
-
-        members: dict[int, set] = {}
-        for v in range(n):
-            members.setdefault(labels[v], set()).add(v)
+                group.update(u for u in nbrs[v] if labels[u] == -1 and t_counts[u] > 0)
+            for u in group:
+                labels[u] = len(members)
+            members[len(members)] = group
 
         for _ in range(self.refinement_rounds):
             moved = False
@@ -279,17 +274,15 @@ class SymNmfModel(Estimator):
         losses = [current]
         for _ in range(self.iterations):
             ratio = ah / (h @ gram + eps)
-            # damped multiplicative step; the damping share is halved until the
-            # loss stops increasing (share zero recovers the current iterate),
-            # so the recorded sequence is nonincreasing by construction
-            gamma = 0.5
-            candidate = h * ((1.0 - gamma) + gamma * ratio)
-            scored = loss(candidate)
-            while scored[0] > current and gamma > 1e-6:
-                gamma *= 0.5
+            # damped multiplicative step; damping shares 1/2, 1/4, ..., 2**-20 are
+            # tried until the loss stops increasing, else share zero keeps the
+            # current iterate, so the recorded sequence is nonincreasing
+            for gamma in (0.5 ** k for k in range(1, 21)):
                 candidate = h * ((1.0 - gamma) + gamma * ratio)
                 scored = loss(candidate)
-            if scored[0] > current:
+                if not scored[0] > current:
+                    break
+            else:
                 candidate, scored = h, (current, ah, gram)
             h = candidate
             current, ah, gram = scored

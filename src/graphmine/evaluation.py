@@ -47,13 +47,12 @@ def nmi(a, b) -> float:
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     ca, cb = int(ai.max()) + 1, int(bi.max()) + 1
-    table = np.zeros((ca, cb))
-    np.add.at(table, (ai, bi), 1.0)
-    pij = table / n
+    pij = np.bincount(ai * cb + bi, minlength=ca * cb).reshape(ca, cb) / n
     pa = pij.sum(axis=1)
     pb = pij.sum(axis=0)
-    ha = float(-np.sum(pa[pa > 0] * np.log(pa[pa > 0])))
-    hb = float(-np.sum(pb[pb > 0] * np.log(pb[pb > 0])))
+    # every label np.unique returns occurs, so pa and pb are positive
+    ha = float(-np.sum(pa * np.log(pa)))
+    hb = float(-np.sum(pb * np.log(pb)))
     if ha == 0.0 and hb == 0.0:
         return 1.0
     if ha == 0.0 or hb == 0.0:
@@ -146,9 +145,9 @@ def softmax_fit(x: np.ndarray, y, model: SoftmaxModel | None = None) -> SoftmaxM
         raise DimensionMismatch(
             f"x rows must pair with y entries, got {x.shape} vs {y.shape}"
         )
-    if y.min() < 0:
+    if y.min(initial=0) < 0:
         raise DimensionMismatch("labels must be nonnegative")
-    c = int(y.max()) + 1
+    c = int(y.max(initial=-1)) + 1  # no rows, no classes
     if c < 2:
         raise DimensionMismatch("need at least two classes to fit")
     xb = _with_bias(x)

@@ -13,7 +13,8 @@ every platform, and makes independent child streams cheap to derive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -208,8 +209,14 @@ class Estimator:
         return get
 
     def _require_at_least(self, **minimums) -> None:
-        """Raise :class:`InputContractError` unless each named hyperparameter
-        is at least its minimum."""
+        """Raise :class:`InputContractError` unless each field with an int (float) default
+        holds a non-bool integer (a real number) and each named one is at least its minimum."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is int and (type(value) is bool or not isinstance(value, numbers.Integral)):
+                raise InputContractError(f"{f.name} must be an integer, got {value!r}")
+            if type(f.default) is float and not isinstance(value, numbers.Real):
+                raise InputContractError(f"{f.name} must be a number, got {value!r}")
         for name, low in minimums.items():
             value = getattr(self, name)
             if not value >= low:
@@ -407,8 +414,7 @@ def normalized_laplacian(g: Graph) -> _sp.csr_matrix:
     deg = _require_no_isolated(g)
     n = g.node_count
     inv_sqrt = 1.0 / np.sqrt(deg)
-    rows_rep = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
-    off_values = -inv_sqrt[rows_rep] * inv_sqrt[g.targets]
+    off_values = -np.repeat(inv_sqrt, g.degrees) * inv_sqrt[g.targets]
     sparse = _sparse()
     off = sparse.csr_matrix((off_values, g.targets, g.offsets), shape=(n, n))
     return sparse.eye(n, format="csr") + off

@@ -101,15 +101,12 @@ def wl_features(g: Graph, features: dict | None, iterations: int) -> WlFeatureSe
         labels = [str(features[v]) for v in range(n)]
     else:
         labels = [str(d) for d in g.degrees.tolist()]
-    counts: Counter = Counter()
-    for v in range(n):
-        counts[f"0:{labels[v]}"] += 1
-    keys = [_escape(label) for label in labels]  # later rounds' hex labels need none
+    counts = Counter(f"0:{label}" for label in labels)
+    labels = [_escape(label) for label in labels]  # later rounds' hex labels need none
     nbrs = g.neighbor_lists()
     for r in range(1, iterations + 1):
-        labels = keys = [_hash_label(keys[v], [keys[u] for u in nbrs[v]]) for v in range(n)]
-        for v in range(n):
-            counts[f"{r}:{labels[v]}"] += 1
+        labels = [_hash_label(labels[v], [labels[u] for u in nbrs[v]]) for v in range(n)]
+        counts.update(f"{r}:{label}" for label in labels)
     return WlFeatureSet(counts=counts, iterations=iterations, node_count=n)
 
 
@@ -178,9 +175,10 @@ class WlSvdModel(Estimator):
     """Factorized subtree-pattern features.
 
     Builds the graphs-by-features count matrix over all refinement rounds,
-    reweights by TF-IDF (natural log), and truncates by randomized SVD.  The
-    embedding is U scaled by the singular values, zero-padded on the right
-    when the matrix admits fewer than ``dimensions`` components.
+    reweights it by TF-IDF, idf = ln(graphs / df) with df the number of
+    corpus graphs that contain the feature, and truncates by randomized
+    SVD.  The embedding is U scaled by the singular values, zero-padded on
+    the right when the matrix admits fewer than ``dimensions`` components.
     """
 
     wl_iterations: int = 2
@@ -193,26 +191,19 @@ class WlSvdModel(Estimator):
         self._require_at_least(wl_iterations=0, dimensions=1)
         _require_corpus(corpus)
         n_graphs = len(corpus)
-        feature_sets = []
-        for i, g in enumerate(corpus.graphs):
-            fmap = corpus.features[i] if corpus.features is not None else None
-            feature_sets.append(wl_features(g, fmap, self.wl_iterations).counts)
+        fmaps = corpus.features or [None] * n_graphs
+        feature_sets = [wl_features(g, fmap, self.wl_iterations).counts
+                        for g, fmap in zip(corpus.graphs, fmaps)]
 
-        vocabulary = sorted(set().union(*[set(c) for c in feature_sets]))
+        vocabulary = sorted(set().union(*feature_sets))
         index = {feat: j for j, feat in enumerate(vocabulary)}
-        rows, cols, vals = [], [], []
-        df = np.zeros(len(vocabulary))
-        for i, counts in enumerate(feature_sets):
-            for feat, cnt in counts.items():
-                j = index[feat]
-                rows.append(i)
-                cols.append(j)
-                vals.append(float(cnt))
-                df[j] += 1.0
+        rows = np.repeat(np.arange(n_graphs), [len(c) for c in feature_sets])
+        cols = [index[feat] for counts in feature_sets for feat in counts]
+        vals = [float(cnt) for counts in feature_sets for cnt in counts.values()]
         tf = _sparse().csr_matrix(
             (vals, (rows, cols)), shape=(n_graphs, len(vocabulary))
         )
-        idf = np.log(n_graphs / df)
+        idf = np.log(n_graphs / tf.getnnz(axis=0))
         weighted = tf.multiply(idf[None, :]).tocsr()
 
         k = min(self.dimensions, n_graphs, len(vocabulary))

@@ -268,8 +268,6 @@ def read_corpus_jsonl(path: str) -> GraphCorpus:
     """One JSON object per line: ``edges`` (required), ``features`` and
     ``label`` (optional).  Node count is 1 + max endpoint."""
     graphs, features, labels = [], [], []
-    any_features = False
-    any_labels = False
     for lineno, line in _lines(_read_text(path)):
         try:
             obj = json.loads(line, object_pairs_hook=_JsonObject)
@@ -288,7 +286,6 @@ def read_corpus_jsonl(path: str) -> GraphCorpus:
         graphs.append(build_graph(n, pairs))
         fmap = obj.get("features")
         if fmap is not None:
-            any_features = True
             try:
                 pairs = [(int(k), str(v)) for k, v in fmap.pairs]
             except (AttributeError, ValueError):
@@ -301,7 +298,6 @@ def read_corpus_jsonl(path: str) -> GraphCorpus:
         features.append(fmap)
         label = obj.get("label")
         if label is not None:
-            any_labels = True
             try:
                 label = _json_int(label)
             except TypeError:
@@ -309,10 +305,10 @@ def read_corpus_jsonl(path: str) -> GraphCorpus:
         labels.append(label)
     if not graphs:
         raise EmptyCorpus(f"{path}: no corpus lines")
-    if any_labels and any(l is None for l in labels):
+    if None in labels and any(label is not None for label in labels):
         raise InputContractError(f"{path}: labels must be present on every line or none")
     return GraphCorpus(
         graphs=graphs,
-        features=features if any_features else None,
-        labels=labels if any_labels else None,
+        features=features if any(fmap is not None for fmap in features) else None,
+        labels=None if None in labels else labels,
     )

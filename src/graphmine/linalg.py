@@ -108,7 +108,7 @@ def randomized_svd(a: _sp.spmatrix, k: int, rng: RandomSource) -> SvdResult:
     u = q @ ub
     v = b.T @ ub
     # columns of v carry a sigma factor; divide it out where sigma > 0
-    good = sigma > (sigma[0] * 1e-13 if sigma.size and sigma[0] > 0 else 0.0)
+    good = sigma > sigma[0] * 1e-13
     v[:, good] /= sigma[good]
     v[:, ~good] = 0.0
     # sign canonicalization: largest-|entry| of each u column made positive

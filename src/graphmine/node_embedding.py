@@ -118,8 +118,7 @@ def generate_walks(
     walks = np.empty((total, walk_length), dtype=np.int64)
     current = np.tile(np.arange(n, dtype=np.int64), walk_number)
     walks[:, 0] = current
-    offsets, targets = g.offsets, g.targets
-    degrees = np.diff(offsets)
+    offsets, targets, degrees = g.offsets, g.targets, g.degrees
     for t in range(steps):
         jump = (uniforms[:, t] * degrees[current]).astype(np.int64)
         current = targets[offsets[current] + jump]
@@ -345,9 +344,19 @@ def _train_pairs(
     return u.copy()
 
 
+def _check_skip_gram(params: SkipGramParams) -> None:
+    """Raise :class:`InputContractError` unless ``params`` can train."""
+    Estimator._require_at_least(params, dimensions=1, window_size=1, negative_samples=0, epochs=1)
+    if not 0.0 < params.learning_rate < np.inf:
+        raise InputContractError(
+            f"learning_rate must be a positive finite number, got {params.learning_rate!r}"
+        )
+
+
 def sgns_train(corpus: WalkCorpus, params: SkipGramParams) -> np.ndarray:
     """Skip-gram with negative sampling on all window co-occurrences of
     ``corpus``; returns the center-vector table, one row per node."""
+    _check_skip_gram(params)
     walks = corpus.walks
     template = _window_template(walks.shape[1], params.window_size)
     return _train_pairs(walks, corpus.node_count, template, params)
@@ -376,15 +385,9 @@ class _WalkModel(Estimator):
     def _walks(self, g: Graph) -> tuple[SkipGramParams, WalkCorpus]:
         """Check the hyperparameters; return the trainer settings and the
         walks on ``g``."""
-        self._require_at_least(
-            walk_number=1, walk_length=2, dimensions=1, window_size=1,
-            negative_samples=0, epochs=1,
-        )
-        if not 0.0 < self.learning_rate < np.inf:
-            raise InputContractError(
-                f"learning_rate must be a positive finite number, got {self.learning_rate!r}"
-            )
+        self._require_at_least(walk_number=1, walk_length=2)
         params = SkipGramParams(**{f.name: getattr(self, f.name) for f in fields(SkipGramParams)})
+        _check_skip_gram(params)
         rng = RandomSource(self.seed, 0)
         return params, generate_walks(g, self.walk_number, self.walk_length, rng)
 
@@ -406,6 +409,7 @@ class WalkletsModel(_WalkModel):
     window_size: int = 4
 
     def fit(self, g: Graph) -> "WalkletsModel":
+        self._require_at_least()  # the types, before window_size meets walk_length
         # scale walk_length has no pairs: known before any walk is drawn
         if self.window_size >= self.walk_length:
             raise EmptyCorpus(

@@ -3,6 +3,7 @@ import inspect
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from graphmine import (
     DeepWalkModel,
     LabelPropagationModel,
     RandomSource,
+    ScdModel,
     erdos_renyi_gnm,
     modularity,
     read_edge_list,
@@ -152,6 +154,32 @@ def test_bench_emits_per_repeat_and_mean_rows(tmp_path):
     assert {r[1] for r in body} == {"16", "32"}
     for r in body:
         assert float(r[4]) >= 0.0
+
+
+@pytest.mark.parametrize(
+    "task, algo, cls",
+    [("cluster", "label-propagation", LabelPropagationModel), ("cluster", "scd", ScdModel),
+     ("embed-nodes", "deepwalk", DeepWalkModel)],
+    ids=["lp", "scd", "deepwalk"],
+)
+def test_bench_fits_at_the_defaults_with_its_seed(monkeypatch, capsys, task, algo, cls):
+    # every fit gets the signature defaults, except that --seed, which also
+    # seeds the graph of each (degree, size) configuration, goes to ``seed``
+    fits = []
+
+    def record(self, g):
+        fits.append(({f.name: getattr(self, f.name) for f in fields(self)}, g.edges()))
+        return self
+
+    monkeypatch.setattr(cls, "fit", record)
+    assert main(["bench", "--task", task, "--algo", algo, "--sizes", "10,12",
+                 "--degree", "4,6", "--repeats", "2", "--seed", "7"]) == 0
+    want = {p.name: 7 if p.name == "seed" else p.default
+            for p in inspect.signature(cls).parameters.values()}
+    graphs = [erdos_renyi_gnm(n, n * degree // 2, RandomSource(7, config), connected=True)
+              for config, (degree, n) in enumerate([(4, 10), (4, 12), (6, 10), (6, 12)])]
+    assert fits == [(want, g.edges()) for g in graphs for _ in range(2)]
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4 * 3
 
 
 def test_bench_rejects_bad_requests():

@@ -170,6 +170,8 @@ def test_softmax_rejects_bad_labels_and_shapes():
         softmax_fit(x, [0, 1, -1, 0])
     with pytest.raises(DimensionMismatch):
         softmax_fit(x, [0, 1, 1])
+    with pytest.raises(DimensionMismatch):
+        softmax_fit(np.zeros((0, 2)), [])
     model = softmax_fit(np.random.default_rng(0).standard_normal((6, 2)), [0, 1, 0, 1, 0, 1])
     with pytest.raises(DimensionMismatch):
         softmax_predict(model, np.zeros((3, 5)))

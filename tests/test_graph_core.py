@@ -1,4 +1,5 @@
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from graphmine import (
     DuplicateEdge,
     Estimator,
     GraphCorpus,
+    InputContractError,
     IsolatedNode,
     LabelPropagationModel,
     NetLsdModel,
@@ -328,3 +330,24 @@ def test_constructor_signatures_and_identity(cls):
     twin = cls()
     assert model != twin and model == model
     assert len({model, twin}) == 2
+
+
+# 2.5 and True for each int field, None and "x" for every field of every estimator
+_NON_NUMERIC = [
+    (cls, name, bad)
+    for cls, params in _SIGNATURES.items() if issubclass(cls, Estimator)
+    for name, default in params
+    for bad in ([2.5, True] if type(default) is int else []) + [None, "x"]
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name, bad", _NON_NUMERIC, ids=[f"{c.__name__}-{n}-{b!r}" for c, n, b in _NON_NUMERIC]
+)
+def test_non_numeric_hyperparameters_raise_a_typed_error(cls, name, bad):
+    kind = "an integer" if type(dict(_SIGNATURES[cls])[name]) is int else "a number"
+    data = two_cliques(4)
+    if cls in (SfModel, NetLsdModel, WlSvdModel):
+        data = GraphCorpus(graphs=[data, path_graph(5)])
+    with pytest.raises(InputContractError, match=f"^{name} must be {kind}, got {re.escape(repr(bad))}$"):
+        cls(**{name: bad}).fit(data)

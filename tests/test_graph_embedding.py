@@ -25,6 +25,7 @@ from builders import (
     cycle_graph,
     path_graph,
     random_connected,
+    star_graph,
     triangle_pair,
     two_cliques,
 )
@@ -183,6 +184,24 @@ def test_wl_svd_pads_missing_components_with_zeros():
     # rank is capped by the corpus size, remaining columns stay zero
     assert emb.shape == (2, 10)
     assert np.all(emb[:, 2:] == 0.0)
+
+
+def test_wl_svd_at_full_rank_keeps_the_tf_idf_gram_matrix():
+    # W[i, f] = count of f in graph i * ln(graphs / graphs holding f); with
+    # as many components as graphs, E E^T = U S^2 U^T is W W^T exactly
+    graphs = [complete_graph(4), path_graph(5), cycle_graph(6), triangle_pair(),
+              star_graph(5), random_connected(9, 15, 3)]
+    features = [None, {v: "ab"[v % 2] for v in range(5)}, None, None, None, None]
+    counts = [wl_features(g, f, 2).counts for g, f in zip(graphs, features)]
+    vocabulary = sorted(set().union(*counts))
+    holders = {feat: sum(feat in c for c in counts) for feat in vocabulary}
+    w = np.array([[c[feat] * np.log(len(graphs) / holders[feat]) for feat in vocabulary]
+                  for c in counts])
+    emb = WlSvdModel(wl_iterations=2, dimensions=8).fit(
+        GraphCorpus(graphs=graphs, features=features)
+    ).get_embedding()
+    gram = w @ w.T
+    assert np.abs(emb @ emb.T - gram).max() <= 1e-9 * np.abs(gram).max()
 
 
 def test_wl_svd_is_deterministic():

@@ -165,10 +165,14 @@ def test_corpus_roundtrip_with_labels(tmp_path):
 
 def test_corpus_features_are_parsed_per_node(tmp_path):
     path = tmp_path / "c.jsonl"
-    line = json.dumps({"edges": [[0, 1]], "features": {"0": "a", "1": "b"}})
-    path.write_text(line + "\n")
-    corpus = read_corpus_jsonl(str(path))
-    assert corpus.features == [{0: "a", 1: "b"}]
+    line = {"edges": [[0, 1]], "features": {"0": "a", "1": "b"}}
+    for lines, want in [
+        ([line], [{0: "a", 1: "b"}]),
+        ([line, {"edges": [[0, 1]]}], [{0: "a", 1: "b"}, None]),  # only some lines
+    ]:
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        corpus = read_corpus_jsonl(str(path))
+        assert corpus.features == want
 
 
 def test_corpus_rejects_malformed_lines(tmp_path):

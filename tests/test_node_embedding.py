@@ -201,6 +201,27 @@ def test_trainer_rejects_empty_corpora():
         sgns_train(starts_only, SkipGramParams())
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"dimensions": 0}, "dimensions must be >= 1, got 0"),
+        ({"window_size": 0}, "window_size must be >= 1, got 0"),
+        ({"negative_samples": -1}, "negative_samples must be >= 0, got -1"),
+        ({"epochs": 0}, "epochs must be >= 1, got 0"),
+        ({"learning_rate": 0.0}, "learning_rate must be a positive finite number, got 0.0"),
+        ({"learning_rate": float("inf")}, "learning_rate must be a positive finite number, got inf"),
+        ({"dimensions": 2.0}, "dimensions must be an integer, got 2.0"),
+    ],
+    ids=["dimensions", "window", "negatives", "epochs", "rate-zero", "rate-inf", "dimensions-float"],
+)
+def test_trainer_checks_its_settings_as_the_walk_models_do(change, message):
+    corpus = generate_walks(cycle_graph(6), 1, 5, RandomSource(1, 0))
+    with pytest.raises(InputContractError, match=f"^{message}$"):
+        sgns_train(corpus, replace(SkipGramParams(dimensions=4), **change))
+    with pytest.raises(InputContractError, match=f"^{message}$"):
+        DeepWalkModel(walk_number=1, walk_length=5, **{"dimensions": 4, **change}).fit(cycle_graph(6))
+
+
 def test_window_template_lists_every_pair_within_the_window():
     for length, window in [(1, 3), (2, 1), (5, 2), (6, 10), (10, 3), (80, 5)]:
         want = [
