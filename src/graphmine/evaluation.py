@@ -14,10 +14,11 @@ import numpy as np
 from .errors import (
     DegenerateSplit,
     DimensionMismatch,
+    InputContractError,
     LengthMismatch,
     SingleClassTest,
 )
-from .graph_core import RandomSource
+from .graph_core import Estimator, RandomSource
 
 __all__ = [
     "SplitIndices",
@@ -131,6 +132,17 @@ def softmax_loss_and_gradient(
     return loss, grad
 
 
+def _check_softmax(model: SoftmaxModel) -> None:
+    """Raise :class:`InputContractError` unless ``model`` can fit."""
+    Estimator._require_at_least(model, epochs=0)
+    if not 0.0 < model.learning_rate < np.inf:
+        raise InputContractError(
+            f"learning_rate must be a positive finite number, got {model.learning_rate!r}"
+        )
+    if not 0.0 <= model.l2 < np.inf:
+        raise InputContractError(f"l2 must be a nonnegative finite number, got {model.l2!r}")
+
+
 def softmax_fit(x: np.ndarray, y, model: SoftmaxModel | None = None) -> SoftmaxModel:
     """Fit the classifier on rows of ``x`` with integer labels ``y``.
 
@@ -139,6 +151,7 @@ def softmax_fit(x: np.ndarray, y, model: SoftmaxModel | None = None) -> SoftmaxM
     """
     if model is None:
         model = SoftmaxModel()
+    _check_softmax(model)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:

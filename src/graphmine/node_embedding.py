@@ -58,10 +58,15 @@ NETMF_NODE_CAP = 2 ** 13
 _BATCH_CAP = 1024
 _STALE_HITS = 16.0  # max expected updates per node vector within one batch
 _WALK_BLOCK = 2048  # walks per training block; bounds pair-buffer memory
+_CHUNK_PAIRS = 8192  # pairs per draw of negative keys and rates; bounds their memory
 # Largest |weight| a trained skip-gram table may hold: converged fits end
 # with weights of order 1 (below 2.5 for DeepWalk at d=32 on a connected
 # G(1024, 6144), even at learning_rate=0.1); a fit beyond it has diverged.
 _WEIGHT_BOUND = 1e6
+_DIVERGED = (
+    f"skip-gram training diverged: a weight is NaN or exceeds {_WEIGHT_BOUND:g} "
+    "in absolute value; try a smaller learning_rate"
+)
 
 
 @dataclass(frozen=True)
@@ -158,29 +163,34 @@ def sgns_pair_gradients(
     """Analytic gradients of :func:`sgns_pair_loss` w.r.t. all three inputs.
 
     This is the trainer's own kernel, :func:`_sgns_steps`, on a batch of
-    one pair at rate -1: ``-(-1) * (1 - s)`` is ``s - 1`` exactly.
+    one pair at rate -1: ``-(-1) * (1 - s)`` is ``s - 1`` exactly.  The
+    context and negative gradients are its coefficients times ``center``.
     """
     k, d = negatives.shape
-    out = np.empty((k + 2, d))
-    _sgns_steps(center[None], context[None], negatives[None], np.array([-1.0]), out)
-    return out[0], out[1], out[2:]
+    g_c = np.empty((1, d))
+    coef = np.empty(k + 2)
+    _sgns_steps(center[None], context[None], negatives[None], np.array([-1.0]), g_c, coef)
+    return g_c[0], coef[1] * center, coef[2:, None] * center
 
 
 def _sgns_steps(
-    uc: np.ndarray, vx: np.ndarray, vn: np.ndarray, alphas: np.ndarray, out: np.ndarray
+    uc: np.ndarray, vx: np.ndarray, vn: np.ndarray, alphas: np.ndarray, out: np.ndarray,
+    coef: np.ndarray,
 ) -> None:
-    """Write into ``out`` the SGD steps of b pairs, ``-alphas[i]`` times the
-    gradient of pair i's :func:`sgns_pair_loss`: b center rows (from ``uc``,
-    b x d), b context rows (``vx``) and k rows per pair (``vn``, b x k x d)."""
+    """The SGD steps of b pairs, ``-alphas[i]`` times the gradient of pair
+    i's :func:`sgns_pair_loss`.  Writes the b center rows into ``out`` (from
+    ``uc``, b x d, with ``vx``, b x d, and ``vn``, b x k x d) and into
+    ``coef`` (length b(k + 2)) one scalar per step row: 1.0 for each center
+    row, then ``coef[b + i]`` and ``coef[2b + ik + j]``, which times
+    ``uc[i]`` are pair i's context row and its k negative rows."""
     b, k, d = vn.shape
-    s_pos = _stable_sigmoid(np.einsum("bd,bd->b", uc, vx))
-    s_neg = _stable_sigmoid(np.einsum("bkd,bd->bk", vn, uc))
-    coef_pos = alphas * (1.0 - s_pos)
-    coef_neg = -alphas[:, None] * s_neg
-    np.multiply(coef_pos[:, None], vx, out=out[:b])
-    out[:b] += np.einsum("bk,bkd->bd", coef_neg, vn)
-    np.multiply(coef_pos[:, None], uc, out=out[b: 2 * b])
-    np.multiply(coef_neg[:, :, None], uc[:, None, :], out=out[2 * b:].reshape(b, k, d))
+    coef_pos = coef[b: 2 * b]
+    coef_neg = coef[2 * b:].reshape(b, k)
+    coef[:b] = 1.0
+    np.multiply(alphas, 1.0 - _stable_sigmoid(np.einsum("bd,bd->b", uc, vx)), out=coef_pos)
+    np.multiply(-alphas[:, None], _stable_sigmoid(np.einsum("bkd,bd->bk", vn, uc)), out=coef_neg)
+    np.multiply(coef_pos[:, None], vx, out=out)
+    out += np.einsum("bk,bkd->bd", coef_neg, vn)
 
 
 def _window_template(length: int, window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -255,12 +265,15 @@ def _bucket_search(table: np.ndarray, cum: np.ndarray, r: np.ndarray) -> np.ndar
     return idx
 
 
-def _scatter_matrix(rows: int, cols: int):
-    """A ``rows x cols`` CSC matrix with a single 1.0 in each column; the
-    caller writes each column's row into ``.indices``."""
+def _scatter_matrix(rows: int, b: int, k: int):
+    """A ``rows x 3b`` CSC matrix whose first 2b columns hold one entry each
+    and whose last b columns hold k each; the caller writes each entry's row
+    into ``.indices`` and its coefficient into ``.data``."""
+    m = b * (k + 2)
     return _sparse().csc_matrix(
-        (np.ones(cols), np.zeros(cols, dtype=np.int64), np.arange(cols + 1)),
-        shape=(rows, cols),
+        (np.ones(m), np.zeros(m, dtype=np.int64),
+         np.concatenate([np.arange(2 * b), 2 * b + k * np.arange(b + 1)])),
+        shape=(rows, 3 * b),
     )
 
 
@@ -279,16 +292,19 @@ def _train_pairs(
     distribution raised to 0.75.  Everything is single-threaded and seeded.
 
     The center table ``u`` and the context table ``v`` are the two halves
-    of one ``(2n, d)`` table.  :func:`_sgns_steps` writes a batch's steps,
-    and one product ``sel @ steps`` adds them all to the table.  Column j
-    of the CSC matrix ``sel`` holds a single 1.0, in the row that step row
-    j updates.  scipy adds the columns in order into a zeroed result, so
-    every row receives its steps summed left to right in batch order, the
-    sum that two separate products for ``u`` and ``v`` give; no row of
-    ``u`` is a row of ``v``.  Negative draws go through
-    :func:`_bucket_search`, which returns exactly ``np.searchsorted(cum, r)``
-    for the same random keys.  A table with an entry beyond
-    ``_WEIGHT_BOUND`` in absolute value, or a NaN, at the end raises
+    of one ``(2n, d)`` table, and one product ``sel @ x`` adds a batch's
+    steps to it.  ``x`` is ``[center steps; uc; uc]`` (3b x d), ``uc`` the
+    batch's rows of ``u``.  Column j < b of the CSC matrix ``sel`` holds
+    1.0 in center j's row, column b + i pair i's context coefficient in its
+    row of ``v`` and column 2b + i its k negative coefficients, all written
+    into ``sel.data`` by :func:`_sgns_steps`.  scipy rounds each product,
+    then adds it into a zeroed result column by column, so every row adds
+    its steps in batch order, each rounded once, as a loop over step rows
+    would.  Negative keys and rates are drawn per chunk of whole batches
+    inside a walk block, at most ``_CHUNK_PAIRS`` pairs, from the same
+    stream as batch by batch; :func:`_bucket_search` returns exactly
+    ``np.searchsorted(cum, r)``.  A NaN or infinite entry after a chunk,
+    or one beyond ``_WEIGHT_BOUND`` in absolute value at the end, raises
     :class:`NoConvergence`.
     """
     total_pairs = walks.shape[0] * len(template[0])
@@ -310,37 +326,40 @@ def _train_pairs(
     buckets = _bucket_table(cum)
     neg = params.negative_samples
     batch = _batch_size(center_freq, context_freq, p_noise, total_pairs, neg)
+    chunk = batch * max(_CHUNK_PAIRS // batch, 1)
 
     alpha0 = params.learning_rate
     alpha_end = alpha0 / 100.0
     span = max(total_pairs * params.epochs - 1, 1)
 
-    buf = np.empty((batch * (neg + 2), d))
-    full_sel = _scatter_matrix(2 * n, len(buf))
+    buf = np.empty((3 * batch, d))
+    full_sel = _scatter_matrix(2 * n, batch, neg)
     done = 0
     for _ in range(params.epochs):
         for centers, contexts in _pair_blocks(walks, template):
-            for lo in range(0, len(centers), batch):
-                cb = centers[lo: lo + batch]
-                xb = contexts[lo: lo + batch]
-                b = len(cb)
-                alphas = alpha0 + (alpha_end - alpha0) * ((done + np.arange(b)) / span)
-                done += b
-                negs = _bucket_search(buckets, cum, gen.random((b, neg)))
-                m = b * (neg + 2)
-                steps = buf[:m]
-                _sgns_steps(u[cb], v[xb], v[negs], alphas, steps)
-                sel = full_sel if b == batch else _scatter_matrix(2 * n, m)
-                rows = sel.indices
-                rows[:b] = cb
-                np.add(xb, n, out=rows[b: 2 * b])
-                np.add(negs.ravel(), n, out=rows[2 * b:])
-                table += sel @ steps
-    if not (np.abs(table) <= _WEIGHT_BOUND).all():  # NaN fails the comparison
-        raise NoConvergence(
-            f"skip-gram training diverged: a weight is NaN or exceeds {_WEIGHT_BOUND:g} "
-            "in absolute value; try a smaller learning_rate"
-        )
+            for start in range(0, len(centers), chunk):
+                cc = centers[start: start + chunk]
+                xc = contexts[start: start + chunk]
+                rates = alpha0 + (alpha_end - alpha0) * ((done + np.arange(len(cc))) / span)
+                done += len(cc)
+                keys = _bucket_search(buckets, cum, gen.random((len(cc), neg)))
+                for lo in range(0, len(cc), batch):
+                    cb, xb, negs = cc[lo: lo + batch], xc[lo: lo + batch], keys[lo: lo + batch]
+                    b = len(cb)
+                    sel = full_sel if b == batch else _scatter_matrix(2 * n, b, neg)
+                    x = buf[: 3 * b]
+                    uc = np.take(u, cb, axis=0, out=x[b: 2 * b])
+                    x[2 * b:] = uc
+                    _sgns_steps(uc, v[xb], v[negs], rates[lo: lo + b], x[:b], sel.data)
+                    rows = sel.indices
+                    rows[:b] = cb
+                    np.add(xb, n, out=rows[b: 2 * b])
+                    np.add(negs.ravel(), n, out=rows[2 * b:])
+                    table += sel @ x
+                if not np.isfinite(table).all():  # a non-finite entry stays so under +=
+                    raise NoConvergence(_DIVERGED)
+    if not (np.abs(table) <= _WEIGHT_BOUND).all():
+        raise NoConvergence(_DIVERGED)
     return u.copy()
 
 

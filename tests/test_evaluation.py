@@ -7,6 +7,7 @@ import pytest
 from graphmine import (
     DegenerateSplit,
     DimensionMismatch,
+    InputContractError,
     LengthMismatch,
     RandomSource,
     SingleClassTest,
@@ -175,6 +176,36 @@ def test_softmax_rejects_bad_labels_and_shapes():
     model = softmax_fit(np.random.default_rng(0).standard_normal((6, 2)), [0, 1, 0, 1, 0, 1])
     with pytest.raises(DimensionMismatch):
         softmax_predict(model, np.zeros((3, 5)))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+        ({"epochs": True}, "epochs must be an integer, got True"),
+        ({"epochs": -3}, "epochs must be >= 0, got -3"),
+        ({"l2": None}, "l2 must be a number, got None"),
+        ({"l2": -1e-4}, "l2 must be a nonnegative finite number, got -0.0001"),
+        ({"l2": float("inf")}, "l2 must be a nonnegative finite number, got inf"),
+        ({"l2": float("nan")}, "l2 must be a nonnegative finite number, got nan"),
+        ({"learning_rate": -1.0}, "learning_rate must be a positive finite number, got -1.0"),
+        ({"learning_rate": 0.0}, "learning_rate must be a positive finite number, got 0.0"),
+        ({"learning_rate": float("nan")}, "learning_rate must be a positive finite number, got nan"),
+    ],
+    ids=["epochs-float", "epochs-bool", "epochs-negative", "l2-none", "l2-negative", "l2-inf",
+         "l2-nan", "rate-negative", "rate-zero", "rate-nan"],
+)
+def test_softmax_checks_its_hyperparameters(change, message):
+    x = np.random.default_rng(0).standard_normal((6, 2))
+    with pytest.raises(InputContractError, match=f"^{message}$"):
+        softmax_fit(x, [0, 1, 0, 1, 0, 1], SoftmaxModel(**change))
+
+
+def test_softmax_fits_at_zero_epochs_and_zero_penalty():
+    x = np.random.default_rng(0).standard_normal((6, 2))
+    model = softmax_fit(x, [0, 1, 0, 1, 0, 1], SoftmaxModel(epochs=0, l2=0.0))
+    assert np.array_equal(model.weights, np.zeros((3, 2)))
+    assert len(model.loss_history_) == 1
 
 
 # --- ranking quality ---

@@ -146,21 +146,27 @@ def test_pair_gradients_match_finite_differences():
 
 def test_batched_steps_keep_pairs_apart():
     """Row for row, a batch of b pairs at rates alpha_i holds
-    -alpha_i * sgns_pair_gradients(pair i): no pair leaks into another."""
+    -alpha_i * sgns_pair_gradients(pair i): its center row as written, and
+    its context and negative rows as their coefficients times uc[i]; no pair
+    leaks into another."""
     gen = RandomSource(29, 0).generator()
     for b, k, d in [(3, 4, 5), (7, 1, 3), (5, 0, 6)]:
         uc = gen.standard_normal((b, d))
         vx = gen.standard_normal((b, d))
         vn = gen.standard_normal((b, k, d))
         alphas = gen.random(b) * 0.5 + 0.01
-        out = np.empty((b * (k + 2), d))
-        _sgns_steps(uc, vx, vn, alphas, out)
-        negatives = out[2 * b:].reshape(b, k, d)
+        out = np.empty((b, d))
+        coef = np.empty(b * (k + 2))
+        _sgns_steps(uc, vx, vn, alphas, out, coef)
+        assert np.array_equal(coef[:b], np.ones(b))
+        negatives = coef[2 * b:].reshape(b, k)
         for i in range(b):
             g_c, g_x, g_n = sgns_pair_gradients(uc[i], vx[i], vn[i])
             np.testing.assert_allclose(out[i], -alphas[i] * g_c, rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(out[b + i], -alphas[i] * g_x, rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(negatives[i], -alphas[i] * g_n, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(coef[b + i] * uc[i], -alphas[i] * g_x, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(
+                negatives[i][:, None] * uc[i], -alphas[i] * g_n, rtol=1e-12, atol=1e-15
+            )
 
 
 def test_pair_loss_survives_extreme_scores():
@@ -264,6 +270,39 @@ def test_trainer_raises_no_convergence_when_weights_overflow():
             model.get_embedding()
 
 
+def test_trainer_stops_at_the_first_chunk_that_diverges(monkeypatch):
+    """The d=14 fit above is NaN after its second epoch, so it raises before
+    it draws the negatives of the third: fewer than a full run's."""
+    drawn = []
+    search = node_embedding._bucket_search
+    monkeypatch.setattr(
+        node_embedding, "_bucket_search", lambda table, cum, r: drawn.append(r.size) or search(table, cum, r)
+    )
+    model = DeepWalkModel(
+        walk_number=2, walk_length=18, dimensions=14, window_size=3,
+        negative_samples=6, epochs=3, learning_rate=0.5, seed=411,
+    )
+    with pytest.raises(NoConvergence, match="^skip-gram training diverged: a weight is NaN"):
+        model.fit(star_graph(18))
+    full_run = 36 * len(_window_template(18, 3)[0]) * 3 * 6  # walks x pairs x epochs x negatives
+    assert 0 < sum(drawn) < full_run
+
+
+def test_scipy_csc_product_rounds_each_term_before_adding():
+    """(1 + 2**-30)**2 is 1 + 2**-29 + 2**-60: rounded, it cancels
+    -(1 + 2**-29) exactly; a fused multiply-add would leave 2**-60."""
+    c = 1 + 2**-30
+    x = np.array([-(1 + 2**-29), 1 + 2**-30])
+    sel = sparse.csc_matrix((np.array([1.0, c]), np.zeros(2, dtype=np.int64), np.arange(3)), shape=(1, 2))
+    for width in (1, 2, 33):  # the vector product and the multivector one
+        got = sel @ np.repeat(x[:, None], width, axis=1)
+        assert np.all(got == 0.0), (
+            f"scipy's CSC product fused a multiply-add (got {got.ravel()[0]!r} at width {width}); "
+            "the skip-gram trainer's byte identity rests on each coefficient product being "
+            "rounded before it is added"
+        )
+
+
 # --- byte-identity pin: the trainer against its first, plain loop ---
 
 def _reference_sigmoid(x):
@@ -343,6 +382,14 @@ _PIN_CASES = {
     ),
     "three-walk-blocks": (  # 4,400 walks: pair counts sum over 2048-walk blocks
         cycle_graph(1100), 4, 6, dict(window_size=2), None,
+    ),
+    "chunked-block-at-cap": (  # one block of 129,600 pairs: 15 whole 8,192-pair
+        # draw chunks, then one of 6,720 that ends on a 576-pair batch
+        cycle_graph(1200), 1, 20, dict(window_size=3), lambda b: b == 1024,
+    ),
+    "star-two-walk-blocks": (  # 2,400 walks in two blocks; 6-pair batches make
+        # 8,190-pair draw chunks, and each block ends on a partial one
+        star_graph(40), 60, 6, dict(window_size=2), lambda b: b < 64,
     ),
 }
 
