@@ -76,12 +76,16 @@ _TASKS = {
 def _model(task: str, args):
     """Build the estimator for ``args.algo`` from the flags named by its
     constructor's parameters.  Hyperparameter flags the user did not pass
-    are absent from ``args``, so the estimator's own defaults apply."""
+    are absent from ``args``, so the estimator's own defaults apply; a model
+    command given one that ``args.algo`` does not take raises :class:`InputContractError`."""
     cls = _MODELS[task][args.algo]
+    takes = inspect.signature(cls).parameters
     given = vars(args)
-    return cls(**{
-        name: given[name] for name in inspect.signature(cls).parameters if name in given
-    })
+    if args.command == task:  # bench hands its --seed only to the estimators that take one
+        for name in (n for c in _MODELS[task].values() for n in inspect.signature(c).parameters):
+            if name in given and name not in takes:
+                raise InputContractError(f"{args.algo} does not take --{name.replace('_', '-')}")
+    return cls(**{name: given[name] for name in takes if name in given})
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -103,8 +107,9 @@ def cmd_generate(args) -> int:
 
 def cmd_model(args) -> int:
     _, source, _, read, encode = _TASKS[args.command]
+    model = _model(args.command, args)  # a flag the algorithm does not take fails before any read
     data = getattr(formats, read)(getattr(args, source.removeprefix("--")))
-    _emit(encode(_model(args.command, args).fit(data)), args.out)
+    _emit(encode(model.fit(data)), args.out)
     return 0
 
 

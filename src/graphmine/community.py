@@ -17,7 +17,7 @@ from dataclasses import field
 
 import numpy as np
 
-from .errors import IncompleteMembership, InputContractError, RankTooLarge
+from .errors import IncompleteMembership, RankTooLarge
 from .graph_core import (
     Estimator,
     Graph,
@@ -246,8 +246,6 @@ class SymNmfModel(Estimator):
     def fit(self, g: Graph) -> "SymNmfModel":
         """Fit H >= 0 minimizing ||A - H H^T||_F^2."""
         self._require_at_least(iterations=1)
-        if np.isnan(self.tolerance):
-            raise InputContractError("tolerance must be a number, got nan")
         require_connected(g)
         n = g.node_count
         k = self.dimensions

@@ -14,11 +14,10 @@ import numpy as np
 from .errors import (
     DegenerateSplit,
     DimensionMismatch,
-    InputContractError,
     LengthMismatch,
     SingleClassTest,
 )
-from .graph_core import Estimator, RandomSource
+from .graph_core import Estimator, RandomSource, _require
 
 __all__ = [
     "SplitIndices",
@@ -76,6 +75,8 @@ class SplitIndices:
 def train_test_split(n: int, ratio: float = 0.8, seed: int = 42) -> SplitIndices:
     """Seeded uniform shuffle of 0..n-1; the first round(ratio*n) indices
     (half-up rounding) are the training side."""
+    _require("n", n, int)
+    _require("seed", seed, int)
     if n < 2 or not (0.0 < ratio < 1.0):
         raise DegenerateSplit(f"cannot split {n} items at ratio {ratio}")
     n_train = int(np.floor(ratio * n + 0.5))
@@ -132,17 +133,6 @@ def softmax_loss_and_gradient(
     return loss, grad
 
 
-def _check_softmax(model: SoftmaxModel) -> None:
-    """Raise :class:`InputContractError` unless ``model`` can fit."""
-    Estimator._require_at_least(model, epochs=0)
-    if not 0.0 < model.learning_rate < np.inf:
-        raise InputContractError(
-            f"learning_rate must be a positive finite number, got {model.learning_rate!r}"
-        )
-    if not 0.0 <= model.l2 < np.inf:
-        raise InputContractError(f"l2 must be a nonnegative finite number, got {model.l2!r}")
-
-
 def softmax_fit(x: np.ndarray, y, model: SoftmaxModel | None = None) -> SoftmaxModel:
     """Fit the classifier on rows of ``x`` with integer labels ``y``.
 
@@ -151,7 +141,7 @@ def softmax_fit(x: np.ndarray, y, model: SoftmaxModel | None = None) -> SoftmaxM
     """
     if model is None:
         model = SoftmaxModel()
-    _check_softmax(model)
+    Estimator._require_at_least(model, epochs=0)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:

@@ -209,18 +209,25 @@ class Estimator:
         return get
 
     def _require_at_least(self, **minimums) -> None:
-        """Raise :class:`InputContractError` unless each field with an int (float) default
-        holds a non-bool integer (a real number) and each named one is at least its minimum."""
+        """:func:`_require` each field, in order, by its default's type, at its minimum if named."""
         for f in fields(self):
-            value = getattr(self, f.name)
-            if type(f.default) is int and (type(value) is bool or not isinstance(value, numbers.Integral)):
-                raise InputContractError(f"{f.name} must be an integer, got {value!r}")
-            if type(f.default) is float and not isinstance(value, numbers.Real):
-                raise InputContractError(f"{f.name} must be a number, got {value!r}")
-        for name, low in minimums.items():
-            value = getattr(self, name)
-            if not value >= low:
-                raise InputContractError(f"{name} must be >= {low}, got {value!r}")
+            _require(f.name, getattr(self, f.name), type(f.default), minimums.get(f.name))
+
+
+def _require(name: str, value, kind: type, low: int | None = None) -> None:
+    """Raise :class:`InputContractError` unless ``value`` is a non-bool integer >= ``low`` for
+    ``kind`` int, or a finite real >= 0 for float (> 0 for ``learning_rate``: 0 never trains)."""
+    if kind is int:
+        if type(value) is bool or not isinstance(value, numbers.Integral):
+            raise InputContractError(f"{name} must be an integer, got {value!r}")
+        if low is not None and value < low:
+            raise InputContractError(f"{name} must be >= {low}, got {value!r}")
+    elif kind is float:
+        if not isinstance(value, numbers.Real):
+            raise InputContractError(f"{name} must be a number, got {value!r}")
+        sign = "positive" if name == "learning_rate" else "nonnegative"
+        if not (0.0 < value if sign == "positive" else 0.0 <= value) or not value < np.inf:
+            raise InputContractError(f"{name} must be a {sign} finite number, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +357,8 @@ def erdos_renyi_gnm(
     ``connected=True`` the draw is retried with the next stream_id, up to
     100 attempts, until the result is connected.
     """
+    _require("n", n, int)
+    _require("m", m, int)
     if n < 1:
         raise OutOfRangeNode(f"node count must be >= 1, got {n}")
     _check_node_count(n)

@@ -17,14 +17,13 @@ fit is a pure function of (graph, hyperparameters, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
     EmptyCorpus,
     GraphTooLarge,
-    InputContractError,
     IsolatedNode,
     NoConvergence,
     OutOfRangeNode,
@@ -34,6 +33,7 @@ from .graph_core import (
     Estimator,
     Graph,
     RandomSource,
+    _require,
     _sparse,
     require_connected,
     transition_matrix,
@@ -101,15 +101,14 @@ def generate_walks(
     g: Graph, walk_number: int, walk_length: int, rng: RandomSource
 ) -> WalkCorpus:
     """``walk_number`` uniform random walks of ``walk_length`` nodes from
-    every node; :class:`InputContractError` unless both are at least 1.
+    every node; :class:`InputContractError` unless both are integers >= 1.
 
     Walk w starts at node ``w % n`` and consumes only ``rng.child(w)``, so
     any execution order (or parallel fan-out) reproduces the same corpus.
     All walks advance together: one vectorized neighbor lookup per step.
     """
-    for name, value in (("walk_number", walk_number), ("walk_length", walk_length)):
-        if value < 1:
-            raise InputContractError(f"{name} must be >= 1, got {value!r}")
+    _require("walk_number", walk_number, int, 1)
+    _require("walk_length", walk_length, int, 1)
     require_connected(g)
     if g.edge_count == 0:
         # a single isolated node is "connected" but walkless
@@ -363,18 +362,16 @@ def _train_pairs(
     return u.copy()
 
 
-def _check_skip_gram(params: SkipGramParams) -> None:
-    """Raise :class:`InputContractError` unless ``params`` can train."""
-    Estimator._require_at_least(params, dimensions=1, window_size=1, negative_samples=0, epochs=1)
-    if not 0.0 < params.learning_rate < np.inf:
-        raise InputContractError(
-            f"learning_rate must be a positive finite number, got {params.learning_rate!r}"
-        )
+def _check_skip_gram(params, **minimums) -> None:
+    Estimator._require_at_least(
+        params, dimensions=1, window_size=1, negative_samples=0, epochs=1, **minimums
+    )
 
 
 def sgns_train(corpus: WalkCorpus, params: SkipGramParams) -> np.ndarray:
     """Skip-gram with negative sampling on all window co-occurrences of
-    ``corpus``; returns the center-vector table, one row per node."""
+    ``corpus``; returns the center-vector table, one row per node.  Reads the
+    six :class:`SkipGramParams` fields of ``params``: a walk model passes itself."""
     _check_skip_gram(params)
     walks = corpus.walks
     template = _window_template(walks.shape[1], params.window_size)
@@ -401,22 +398,17 @@ class _WalkModel(Estimator):
 
     get_embedding = Estimator.getter("embedding")
 
-    def _walks(self, g: Graph) -> tuple[SkipGramParams, WalkCorpus]:
-        """Check the hyperparameters; return the trainer settings and the
-        walks on ``g``."""
-        self._require_at_least(walk_number=1, walk_length=2)
-        params = SkipGramParams(**{f.name: getattr(self, f.name) for f in fields(SkipGramParams)})
-        _check_skip_gram(params)
-        rng = RandomSource(self.seed, 0)
-        return params, generate_walks(g, self.walk_number, self.walk_length, rng)
+    def _walks(self, g: Graph) -> WalkCorpus:
+        """Check the hyperparameters, which double as the trainer settings; the walks on ``g``."""
+        _check_skip_gram(self, walk_number=1, walk_length=2)
+        return generate_walks(g, self.walk_number, self.walk_length, RandomSource(self.seed, 0))
 
 
 class DeepWalkModel(_WalkModel):
     """Truncated random walks + skip-gram over window co-occurrences."""
 
     def fit(self, g: Graph) -> "DeepWalkModel":
-        params, corpus = self._walks(g)
-        self._embedding = sgns_train(corpus, params)
+        self._embedding = sgns_train(self._walks(g), self)
         return self
 
 
@@ -435,12 +427,12 @@ class WalkletsModel(_WalkModel):
                 f"window_size {self.window_size} needs walks longer than it, "
                 f"got walk_length {self.walk_length}"
             )
-        params, corpus = self._walks(g)
+        corpus = self._walks(g)
         length = self.walk_length
         self._embedding = np.concatenate([
             _train_pairs(
                 corpus.walks, corpus.node_count, (np.arange(length - s), np.arange(s, length)),
-                replace(params, seed=self.seed + s),
+                replace(self, seed=self.seed + s),
             )
             for s in range(1, self.window_size + 1)
         ], axis=1)

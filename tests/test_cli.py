@@ -79,12 +79,12 @@ def test_cluster_rerun_is_byte_identical(graph_file):
 
 
 def test_embed_nodes_shapes(graph_file):
+    walk_flags = ("--walk-number", 2, "--walk-length", 10, "--window-size", 2, "--negative-samples", 2)
     for algo, width in (("deepwalk", 8), ("walklets", 8), ("netmf", 4)):
         res = run_cli(
             "embed-nodes", "--algo", algo, "--graph", graph_file,
             "--dimensions", 4 if algo != "deepwalk" else 8,
-            "--walk-number", 2, "--walk-length", 10, "--window-size", 2,
-            "--negative-samples", 2,
+            *(walk_flags if algo != "netmf" else ()),
         )
         assert res.returncode == 0, res.stderr
         rows = [line.split(",") for line in res.stdout.strip().split("\n")]
@@ -338,6 +338,29 @@ def test_each_flag_reaches_its_estimator_parameter(task, algo, name):
     args = build_parser().parse_args([task, "--algo", algo, source, "in", flag, str(value)])
     built = getattr(_model(task, args), name)
     assert built == value and type(built) is type(default)
+
+
+# each hyperparameter of a model command with each of its algorithms that does not take it
+_FOREIGN = [
+    (task, algo, name)
+    for task, models in _MODELS.items()
+    for algo, cls in models.items()
+    for name in dict.fromkeys(p for other in models.values() for p in inspect.signature(other).parameters)
+    if name not in inspect.signature(cls).parameters
+]
+
+
+@pytest.mark.parametrize("task, algo, name", _FOREIGN, ids=["-".join(case) for case in _FOREIGN])
+def test_a_flag_the_algorithm_does_not_take_exits_2(tmp_path, capsys, task, algo, name):
+    data = tmp_path / "in"
+    if task == "embed-graphs":
+        data.write_text(json.dumps({"edges": [[0, 1], [1, 2], [0, 2]]}) + "\n")
+    else:
+        write_edge_list(two_cliques(4), str(data))
+    source = "--corpus" if task == "embed-graphs" else "--graph"
+    flag = "--" + name.replace("_", "-")
+    assert main([task, "--algo", algo, source, str(data), flag, "1"]) == 2
+    assert capsys.readouterr().err == f"error: {algo} does not take {flag}\n"
 
 
 # the flags each model command has always had: (name, type, required)

@@ -1,5 +1,6 @@
 import inspect
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from graphmine import (
     ScdModel,
     SelfLoop,
     SfModel,
+    SkipGramParams,
     SoftmaxModel,
     SymNmfModel,
     TooManyEdges,
@@ -28,7 +30,11 @@ from graphmine import (
     WlSvdModel,
     build_graph,
     erdos_renyi_gnm,
+    generate_walks,
     normalized_laplacian,
+    sgns_train,
+    softmax_fit,
+    train_test_split,
     transition_matrix,
     triangle_partners,
     triangles_per_node,
@@ -179,6 +185,8 @@ def test_gnm_connected_impossible_raises():
 
 
 def test_gnm_rejects_bad_counts():
+    with pytest.raises(OutOfRangeNode, match="^node count must be >= 1, got 0$"):
+        erdos_renyi_gnm(0, 0, RandomSource(0, 0))
     with pytest.raises(TooManyEdges):
         erdos_renyi_gnm(4, 7, RandomSource(0, 0))
     with pytest.raises(TooManyEdges):
@@ -351,3 +359,64 @@ def test_non_numeric_hyperparameters_raise_a_typed_error(cls, name, bad):
         data = GraphCorpus(graphs=[data, path_graph(5)])
     with pytest.raises(InputContractError, match=f"^{name} must be {kind}, got {re.escape(repr(bad))}$"):
         cls(**{name: bad}).fit(data)
+
+
+@pytest.mark.parametrize("cls", [c for c in _SIGNATURES if issubclass(c, Estimator)],
+                         ids=lambda cls: cls.__name__)
+def test_each_estimator_defines_its_own_fit(cls):
+    assert "fit" in vars(cls), (
+        f"{cls.__name__} inherits fit: perfbench/tracing.py names each fit span after the "
+        "class whose __dict__ holds fit, so its per-estimator metrics would vanish"
+    )
+
+
+def _fit_with(holder):
+    """Run what checks ``holder``'s hyperparameters: its fit, or the function it configures."""
+    if isinstance(holder, SoftmaxModel):
+        return softmax_fit(np.eye(4), [0, 1, 0, 1], holder)
+    if isinstance(holder, SkipGramParams):
+        return sgns_train(generate_walks(path_graph(4), 1, 5, RandomSource(0, 0)), holder)
+    if isinstance(holder, (SfModel, NetLsdModel, WlSvdModel)):
+        return holder.fit(GraphCorpus(graphs=[two_cliques(4), path_graph(5)]))
+    return holder.fit(two_cliques(4))
+
+
+# every float field of the nine estimators, the trainer settings and the
+# classifier, with nan, inf and -1.0, and 0.0 for a learning rate
+_FLOAT_CASES = [
+    (cls, name, bad)
+    for cls, params in [*_SIGNATURES.items(),
+                        (SkipGramParams, [(f.name, f.default) for f in fields(SkipGramParams)])]
+    for name, default in params if type(default) is float
+    for bad in [float("nan"), float("inf"), -1.0] + ([0.0] if name == "learning_rate" else [])
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name, bad", _FLOAT_CASES, ids=[f"{c.__name__}-{n}-{b!r}" for c, n, b in _FLOAT_CASES]
+)
+def test_float_hyperparameters_share_one_rule(cls, name, bad):
+    sign = "positive" if name == "learning_rate" else "nonnegative"
+    with pytest.raises(InputContractError, match=f"^{name} must be a {sign} finite number, got {bad!r}$"):
+        _fit_with(cls(**{name: bad}))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: erdos_renyi_gnm(10.5, 12, RandomSource(0, 0)), "n must be an integer, got 10.5"),
+        (lambda: erdos_renyi_gnm(10, 12.5, RandomSource(0, 0)), "m must be an integer, got 12.5"),
+        (lambda: train_test_split(10.5), "n must be an integer, got 10.5"),
+        (lambda: train_test_split(10, 0.5, 1.5), "seed must be an integer, got 1.5"),
+        (lambda: generate_walks(path_graph(4), 1.5, 5, RandomSource(0, 0)),
+         "walk_number must be an integer, got 1.5"),
+        (lambda: generate_walks(path_graph(4), True, 5, RandomSource(0, 0)),
+         "walk_number must be an integer, got True"),
+        (lambda: generate_walks(path_graph(4), 2, 5.0, RandomSource(0, 0)),
+         "walk_length must be an integer, got 5.0"),
+    ],
+    ids=["gnm-n", "gnm-m", "split-n", "split-seed", "walks-float", "walks-bool", "walks-length"],
+)
+def test_plain_counts_and_seeds_take_the_integer_rule(call, message):
+    with pytest.raises(InputContractError, match=f"^{message}$"):
+        call()

@@ -139,6 +139,9 @@ def test_labels_roundtrip(tmp_path):
     path.write_text("1\nx\n")
     with pytest.raises(InputContractError, match=r"y\.csv:2"):
         read_labels_csv(str(path))
+    path.write_text("\n")
+    with pytest.raises(InputContractError, match=r"y\.csv: empty label file$"):
+        read_labels_csv(str(path))
 
 
 # --- graph corpora ---
