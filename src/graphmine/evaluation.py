@@ -7,6 +7,7 @@ the split), so evaluation pipelines are reproducible end to end.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +78,8 @@ def train_test_split(n: int, ratio: float = 0.8, seed: int = 42) -> SplitIndices
     (half-up rounding) are the training side."""
     _require("n", n, int)
     _require("seed", seed, int)
+    if not isinstance(ratio, numbers.Real):
+        _require("ratio", ratio, float)  # raises; a ratio outside (0, 1) is DegenerateSplit below
     if n < 2 or not (0.0 < ratio < 1.0):
         raise DegenerateSplit(f"cannot split {n} items at ratio {ratio}")
     n_train = int(np.floor(ratio * n + 0.5))

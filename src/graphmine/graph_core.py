@@ -255,6 +255,7 @@ def build_graph(n: int, edges) -> Graph:
     ``n`` above 2**60 - 2 (64-bit builds) raises :class:`OutOfRangeNode`
     once every edge has passed those checks.
     """
+    _require("n", n, int)
     if n < 1:
         raise OutOfRangeNode(f"node count must be >= 1, got {n}")
     if not isinstance(edges, np.ndarray):

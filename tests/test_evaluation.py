@@ -98,6 +98,9 @@ def test_split_rejects_degenerate_requests():
         train_test_split(10, ratio=0.99)  # rounds to an empty test side
     with pytest.raises(DegenerateSplit):
         train_test_split(4, ratio=0.01)  # rounds to an empty train side
+    for ratio in (-0.5, float("nan"), float("inf"), 1.5):
+        with pytest.raises(DegenerateSplit, match=f"^cannot split 10 items at ratio {ratio}$"):
+            train_test_split(10, ratio=ratio)
 
 
 # --- softmax classifier ---

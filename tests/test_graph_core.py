@@ -414,8 +414,12 @@ def test_float_hyperparameters_share_one_rule(cls, name, bad):
          "walk_number must be an integer, got True"),
         (lambda: generate_walks(path_graph(4), 2, 5.0, RandomSource(0, 0)),
          "walk_length must be an integer, got 5.0"),
+        (lambda: build_graph(4.5, [(0, 1)]), "n must be an integer, got 4.5"),
+        (lambda: build_graph(True, []), "n must be an integer, got True"),
+        (lambda: train_test_split(10, "0.5"), "ratio must be a number, got '0.5'"),
     ],
-    ids=["gnm-n", "gnm-m", "split-n", "split-seed", "walks-float", "walks-bool", "walks-length"],
+    ids=["gnm-n", "gnm-m", "split-n", "split-seed", "walks-float", "walks-bool", "walks-length",
+         "build-float", "build-bool", "split-ratio"],
 )
 def test_plain_counts_and_seeds_take_the_integer_rule(call, message):
     with pytest.raises(InputContractError, match=f"^{message}$"):

@@ -4,13 +4,18 @@ import pytest
 from graphmine import (
     DENSE_SIZE_CAP,
     MatrixTooLarge,
+    NetMfModel,
     NoConvergence,
     NotSymmetric,
     RandomSource,
     RankTooLarge,
     eigvals_symmetric,
+    erdos_renyi_gnm,
+    linalg,
+    node_embedding,
     randomized_svd,
 )
+from frozen_linalg import randomized_svd_by_numpy_qr
 
 
 def _random_symmetric(n, seed):
@@ -196,3 +201,83 @@ def test_svd_rejects_bad_rank():
         randomized_svd(a, 0, RandomSource(0, 0))
     with pytest.raises(RankTooLarge):
         randomized_svd(a, 6, RandomSource(0, 0))
+
+
+# --- LAPACK QR and blocked products, against the frozen numpy-QR copy ---
+
+def _assert_same_svd(a, k, seed):
+    got = randomized_svd(a, k, RandomSource(seed, 0))
+    want = randomized_svd_by_numpy_qr(a, k, RandomSource(seed, 0))
+    for field in ("U", "singular_values", "V"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), field
+
+
+@pytest.mark.parametrize(
+    "shape, k",
+    [((40, 40), 5), ((60, 25), 7), ((25, 60), 7), ((30, 12), 4), ((12, 30), 12), ((9, 9), 9)],
+)
+def test_svd_bytes_match_the_numpy_qr_copy(shape, k):
+    # (30, 12) at k=4, (12, 30) and (9, 9) cap the sketch at min(rows, cols)
+    gen = RandomSource(shape[0] * 7 + k, 0).generator()
+    dense = gen.standard_normal(shape) * (gen.random(shape) < 0.3)
+    _assert_same_svd(_sparse_from_dense(dense), k, seed=k)
+
+
+@pytest.mark.parametrize("columns_per_block", [1, 4, 7, 16, 17, 40])
+def test_svd_bytes_hold_over_column_blocks(monkeypatch, columns_per_block):
+    # the sketch has 17 columns: blocks of 1, 4 and 7 leave a ragged last
+    # block, 16 a last block of one column, and 17 and 40 give one block;
+    # the blocks are exactly that wide for the operand with `rows` rows
+    gen = RandomSource(columns_per_block, 0).generator()
+    dense = gen.standard_normal((80, 50)) * (gen.random((80, 50)) < 0.2)
+    a = _sparse_from_dense(dense)
+    for rows in (80, 50):  # the operands of m.T @ x and of m @ x
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8 * rows * columns_per_block)
+        _assert_same_svd(a, 7, seed=3)
+
+
+def test_netmf_proximity_svd_bytes_match_the_numpy_qr_copy(monkeypatch):
+    g = erdos_renyi_gnm(1024, 6144, RandomSource(11, 0), connected=True)
+    seen = []
+
+    def both(m, k, rng):
+        seen.append(m.shape)
+        _assert_same_svd(m, k, seed=42)
+        return randomized_svd(m, k, rng)
+
+    monkeypatch.setattr(node_embedding, "randomized_svd", both)
+    NetMfModel(dimensions=128).fit(g)
+    assert seen == [(1024, 1024)]
+
+
+def test_qr_q_is_numpys_q_bit_for_bit():
+    gen = RandomSource(21, 0).generator()
+    base = gen.standard_normal((64, 64))
+    inputs = {
+        "C-ordered": np.ascontiguousarray(base[:, :20]),
+        "F-ordered": np.asfortranarray(base[:, :20]),
+        "strided": base[::2, ::3],
+        "n x 1": base[:, :1],
+        "n x n": base,
+        "past LAPACK's block crossover": gen.standard_normal((300, 140)),
+    }
+    for name, y in inputs.items():
+        q = linalg._qr_q(y)
+        want = np.linalg.qr(y)[0]
+        assert q.shape == want.shape and q.tobytes() == want.tobytes(), name
+        assert q.flags.c_contiguous, name
+
+
+@pytest.mark.parametrize("routine", ["dgeqrf", "dorgqr"])
+def test_nonzero_lapack_info_raises_no_convergence(monkeypatch, routine):
+    monkeypatch.setattr(linalg.lapack_lite, routine, lambda *args: {"info": 3})
+    with pytest.raises(NoConvergence, match=f"LAPACK {routine} failed: info 3"):
+        randomized_svd(_sparse_from_dense(np.eye(6)), 2, RandomSource(0, 0))
+
+
+def test_nan_entry_still_fails_in_the_eigensolver():
+    dense = RandomSource(2, 0).generator().standard_normal((30, 20))
+    dense[3, 4] = np.nan
+    with pytest.raises(NoConvergence, match="^LAPACK eigensolver failed: Eigenvalues did not converge$"):
+        randomized_svd(_sparse_from_dense(dense), 5, RandomSource(0, 0))

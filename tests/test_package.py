@@ -67,3 +67,31 @@ def test_import_and_sparse_free_commands_leave_scipy_sparse_unloaded(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "auc.txt").exists()
+
+
+# The SVD models take their QR from numpy's lapack_lite, not scipy.linalg,
+# whose import would cost every process that fits one about 70-145 ms.
+_NO_SCIPY_LINALG_SCRIPT = """
+import os, sys
+import numpy as np
+import graphmine, graphmine.cli
+path = lambda name: os.path.join(sys.argv[1], name)
+g = graphmine.erdos_renyi_gnm(64, 256, graphmine.RandomSource(1, 0), connected=True)
+graphmine.NetMfModel(dimensions=8).fit(g)
+graphs = [graphmine.erdos_renyi_gnm(n, 2 * n, graphmine.RandomSource(n, 0)) for n in range(6, 16)]
+graphmine.WlSvdModel(dimensions=4).fit(graphmine.GraphCorpus(graphs=graphs))
+argv = ["generate", "--nodes", "48", "--edges", "150", "--seed", "2", "--connected", "--out", path("g.csv")]
+assert graphmine.cli.main(argv) == 0
+argv = ["embed-nodes", "--algo", "netmf", "--dimensions", "8", "--graph", path("g.csv"), "--out", path("e.csv")]
+assert graphmine.cli.main(argv) == 0
+assert "scipy.sparse" in sys.modules
+assert "scipy.linalg" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy.linalg"))
+"""
+
+
+def test_svd_models_leave_scipy_linalg_unloaded(tmp_path):
+    res = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_LINALG_SCRIPT, str(tmp_path)], capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "e.csv").exists()
