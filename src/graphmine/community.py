@@ -18,13 +18,7 @@ from dataclasses import field
 import numpy as np
 
 from .errors import IncompleteMembership, RankTooLarge
-from .graph_core import (
-    Estimator,
-    Graph,
-    RandomSource,
-    require_connected,
-    triangle_partners,
-)
+from .graph_core import Estimator, Graph, RandomSource, _require_labels, triangle_partners
 
 __all__ = [
     "LabelPropagationModel",
@@ -59,7 +53,7 @@ def modularity(g: Graph, memberships: dict) -> float:
     m = g.edge_count
     if m == 0:
         raise IncompleteMembership("modularity is undefined for a graph with no edges")
-    labels = np.array([memberships[v] for v in range(n)], dtype=np.int64)
+    labels = _require_labels("memberships", [memberships[v] for v in range(n)])
     _, labels = np.unique(labels, return_inverse=True)
     c = int(labels.max()) + 1
     degree_per_cluster = np.bincount(labels, weights=g.degrees, minlength=c)
@@ -88,13 +82,12 @@ class LabelPropagationModel(Estimator):
     seed: int = 42
     max_iterations: int = 100
 
+    _minimums = {"max_iterations": 1}
     get_memberships = Estimator.getter("memberships")
 
-    def fit(self, g: Graph) -> "LabelPropagationModel":
-        self._require_at_least(max_iterations=1)
+    def _fit(self, g: Graph, nbrs: list[list[int]]) -> None:
         # plain lists: a visit counts its neighbors' labels in a dict, in
         # O(degree), where an array count would cost O(largest label)
-        nbrs = require_connected(g)
         n = g.node_count
         gen = RandomSource(self.seed, 0).generator()
         labels = list(range(n))
@@ -116,7 +109,6 @@ class LabelPropagationModel(Estimator):
             if not changed:
                 break
         self._memberships = canonicalize_memberships(dict(enumerate(labels)))
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +127,10 @@ class ScdModel(Estimator):
 
     refinement_rounds: int = 25
 
+    _minimums = {"refinement_rounds": 0}
     get_memberships = Estimator.getter("memberships")
 
-    def fit(self, g: Graph) -> "ScdModel":
-        self._require_at_least(refinement_rounds=0)
-        nbrs = require_connected(g)
+    def _fit(self, g: Graph, nbrs: list[list[int]]) -> None:
         n = g.node_count
         deg = g.degrees
         partners, t_counts = triangle_partners(nbrs)
@@ -204,7 +195,6 @@ class ScdModel(Estimator):
                 break
 
         self._memberships = canonicalize_memberships(dict(enumerate(labels)))
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +230,12 @@ class SymNmfModel(Estimator):
     seed: int = 42
     loss_history_: list | None = field(default=None, init=False)
 
+    _minimums = {"iterations": 1}
     get_embedding = Estimator.getter("embedding")
     get_memberships = Estimator.getter("memberships")
 
-    def fit(self, g: Graph) -> "SymNmfModel":
+    def _fit(self, g: Graph, nbrs: list[list[int]]) -> None:
         """Fit H >= 0 minimizing ||A - H H^T||_F^2."""
-        self._require_at_least(iterations=1)
-        require_connected(g)
         n = g.node_count
         k = self.dimensions
         if k < 1 or k > n:
@@ -293,4 +282,3 @@ class SymNmfModel(Estimator):
         self._embedding = h
         self._memberships = canonicalize_memberships(dict(enumerate(picks)))
         self.loss_history_ = losses
-        return self

@@ -18,7 +18,7 @@ from .errors import (
     LengthMismatch,
     SingleClassTest,
 )
-from .graph_core import Estimator, RandomSource, _require
+from .graph_core import Estimator, RandomSource, _require, _require_labels
 
 __all__ = [
     "SplitIndices",
@@ -40,8 +40,8 @@ def nmi(a, b) -> float:
     one trivial gives 0.0.  Symmetric and invariant under relabeling either
     argument.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    a = _require_labels("a", a)
+    b = _require_labels("b", b)
     if a.shape != b.shape or a.ndim != 1 or a.size < 1:
         raise LengthMismatch(f"label vectors must match in length, got {a.shape} vs {b.shape}")
     n = a.size
@@ -146,7 +146,7 @@ def softmax_fit(x: np.ndarray, y, model: SoftmaxModel | None = None) -> SoftmaxM
         model = SoftmaxModel()
     Estimator._require_at_least(model, epochs=0)
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = _require_labels("y", y)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
         raise DimensionMismatch(
             f"x rows must pair with y entries, got {x.shape} vs {y.shape}"
@@ -217,7 +217,7 @@ def auc(y_true, scores: np.ndarray) -> float:
     ``y_true``.  Invariant under strictly monotone transformations of the
     scores.
     """
-    y = np.asarray(y_true, dtype=np.int64)
+    y = _require_labels("y_true", y_true)
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2 or y.ndim != 1 or s.shape[0] != y.size:
         raise DimensionMismatch(f"scores {s.shape} do not pair with labels {y.shape}")

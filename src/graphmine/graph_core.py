@@ -14,6 +14,7 @@ every platform, and makes independent child streams cheap to derive.
 from __future__ import annotations
 
 import numbers
+import reprlib
 from dataclasses import dataclass, fields
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -24,6 +25,7 @@ from .errors import (
     ConnectivityRetryExhausted,
     DisconnectedGraph,
     DuplicateEdge,
+    EmptyCorpus,
     InputContractError,
     IsolatedNode,
     NotFitted,
@@ -185,15 +187,34 @@ class Estimator:
     A subclass declares its hyperparameters once, as annotated class
     attributes with defaults; the base makes it a dataclass, so they are its
     constructor's parameters, in declaration order, and public attributes.
-    Equality and hashing stay by identity, and no repr is generated.  Each
-    estimator's ``fit`` checks the hyperparameters, stores each result ``x``
-    as ``self._x`` and returns ``self``.  The getter made by :meth:`getter`
-    raises :class:`NotFitted` before that and returns a copy after, so
-    callers never share the fitted state.
+    Equality and hashing stay by identity, and no repr is generated.  A
+    subclass that defines ``_fit`` gets its own ``fit(data)``, named
+    ``<Class>.fit`` so that traces tell the estimators apart.  It checks the
+    hyperparameters at the class's ``_minimums``, then ``data``: a connected
+    :class:`Graph`, passed on as ``_fit(data, nbrs)`` with the neighbour
+    lists the check walked, or a non-empty corpus of connected graphs, as
+    ``_fit(data)``.  ``_fit`` stores each result ``x`` as ``self._x``, and
+    ``fit`` returns ``self``.  The getter made by :meth:`getter` raises
+    :class:`NotFitted` before that and returns a copy after, so callers
+    never share the fitted state.
     """
+
+    _minimums = {}  # int field -> its least allowed value, where it has one
 
     def __init_subclass__(cls):
         dataclass(eq=False, repr=False)(cls)
+        if "_fit" in vars(cls):
+            def fit(self, data):
+                self._require_at_least(**self._minimums)
+                if isinstance(data, Graph):
+                    self._fit(data, require_connected(data))
+                else:
+                    _require_corpus(data)
+                    self._fit(data)
+                return self
+
+            fit.__qualname__ = f"{cls.__name__}.fit"
+            cls.fit = fit
 
     @staticmethod
     def getter(result: str):
@@ -228,6 +249,20 @@ def _require(name: str, value, kind: type, low: int | None = None) -> None:
         sign = "positive" if name == "learning_rate" else "nonnegative"
         if not (0.0 < value if sign == "positive" else 0.0 <= value) or not value < np.inf:
             raise InputContractError(f"{name} must be a {sign} finite number, got {value!r}")
+
+
+def _require_labels(name: str, values) -> np.ndarray:
+    """``values`` as an int64 array; :class:`InputContractError` unless their
+    dtype is an integer one (bool is not) and every value fits int64.  Empty
+    input passes, for the caller's own length check."""
+    try:
+        labels = np.asarray(values)
+        ok = labels.size == 0 or (labels.dtype.kind in "iu" and labels.max() < 2**63)
+    except ValueError:  # ragged rows
+        ok = False
+    if not ok:
+        raise InputContractError(f"{name} must hold integers, got {reprlib.repr(values)}")
+    return labels.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +381,14 @@ def require_connected(g: Graph, name: str = "graph") -> list[list[int]]:
     if not _reaches_all(nbrs):
         raise DisconnectedGraph(f"{name} is not connected")
     return nbrs
+
+
+def _require_corpus(corpus) -> None:
+    """:class:`EmptyCorpus` for no graphs, else :func:`require_connected` of each, in order."""
+    if len(corpus) == 0:
+        raise EmptyCorpus("corpus contains no graphs")
+    for i, g in enumerate(corpus.graphs):
+        require_connected(g, f"graph {i}")
 
 
 def erdos_renyi_gnm(

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCorpus, GraphTooLarge, IncompleteFeatureMap
-from .graph_core import (
-    Estimator,
-    Graph,
-    RandomSource,
-    _sparse,
-    normalized_laplacian,
-    require_connected,
-)
+from .graph_core import Estimator, Graph, RandomSource, _require, _sparse, normalized_laplacian
 from .linalg import DENSE_SIZE_CAP, eigvals_symmetric, randomized_svd
 
 __all__ = [
@@ -93,6 +86,7 @@ def wl_features(g: Graph, features: dict | None, iterations: int) -> WlFeatureSe
     labels into a stable 64-bit hex string.  All rounds contribute to the
     returned multiset.
     """
+    _require("iterations", iterations, int, 0)
     n = g.node_count
     if features is not None:
         missing = [v for v in range(n) if v not in features]
@@ -110,20 +104,10 @@ def wl_features(g: Graph, features: dict | None, iterations: int) -> WlFeatureSe
     return WlFeatureSet(counts=counts, iterations=iterations, node_count=n)
 
 
-def _require_corpus(corpus: GraphCorpus) -> None:
-    if len(corpus) == 0:
-        raise EmptyCorpus("corpus contains no graphs")
-    for i, g in enumerate(corpus.graphs):
-        require_connected(g, f"graph {i}")
-
-
 def _spectra(corpus: GraphCorpus) -> list:
-    """Ascending normalized-Laplacian eigenvalues of each graph.
-
-    Every graph is checked for emptiness and connectivity before any is
-    checked against the dense cap, so those errors take precedence.
-    """
-    _require_corpus(corpus)
+    """Ascending normalized-Laplacian eigenvalues of each graph of a corpus
+    that ``fit`` has checked, so its emptiness and connectivity errors take
+    precedence over the dense cap."""
     for i, g in enumerate(corpus.graphs):
         if g.node_count > DENSE_SIZE_CAP:
             raise GraphTooLarge(
@@ -138,17 +122,16 @@ class SfModel(Estimator):
 
     dimensions: int = 32
 
+    _minimums = {"dimensions": 1}
     get_embedding = Estimator.getter("embedding")
 
-    def fit(self, corpus: GraphCorpus) -> "SfModel":
-        self._require_at_least(dimensions=1)
+    def _fit(self, corpus: GraphCorpus) -> None:
         d = self.dimensions
         rows = np.zeros((len(corpus), d))
         for i, vals in enumerate(_spectra(corpus)):
             take = min(d, len(vals))
             rows[i, :take] = vals[:take]
         self._embedding = rows
-        return self
 
 
 class NetLsdModel(Estimator):
@@ -162,13 +145,12 @@ class NetLsdModel(Estimator):
 
     get_embedding = Estimator.getter("embedding")
 
-    def fit(self, corpus: GraphCorpus) -> "NetLsdModel":
+    def _fit(self, corpus: GraphCorpus) -> None:
         t = self.time_points
         rows = np.zeros((len(corpus), len(t)))
         for i, vals in enumerate(_spectra(corpus)):
             rows[i] = np.exp(-np.outer(t, vals)).sum(axis=1)
         self._embedding = rows
-        return self
 
 
 class WlSvdModel(Estimator):
@@ -185,11 +167,10 @@ class WlSvdModel(Estimator):
     dimensions: int = 128
     seed: int = 42
 
+    _minimums = {"wl_iterations": 0, "dimensions": 1}
     get_embedding = Estimator.getter("embedding")
 
-    def fit(self, corpus: GraphCorpus) -> "WlSvdModel":
-        self._require_at_least(wl_iterations=0, dimensions=1)
-        _require_corpus(corpus)
+    def _fit(self, corpus: GraphCorpus) -> None:
         n_graphs = len(corpus)
         fmaps = corpus.features or [None] * n_graphs
         feature_sets = [wl_features(g, fmap, self.wl_iterations).counts
@@ -211,4 +192,3 @@ class WlSvdModel(Estimator):
         embedding = np.zeros((n_graphs, self.dimensions))
         embedding[:, :k] = svd.U * svd.singular_values
         self._embedding = embedding
-        return self

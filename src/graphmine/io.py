@@ -283,7 +283,10 @@ def read_corpus_jsonl(path: str) -> GraphCorpus:
         except (TypeError, ValueError):
             raise InputContractError(f"{path}:{lineno}: malformed edge pair")
         n = 1 + max(max(u, v) for u, v in pairs)
-        graphs.append(build_graph(n, pairs))
+        try:
+            graphs.append(build_graph(n, pairs))
+        except InputContractError as exc:  # a self-loop, a repeated pair, a negative endpoint
+            raise type(exc)(f"{path}:{lineno}: {exc}") from None
         fmap = obj.get("features")
         if fmap is not None:
             try:

@@ -362,17 +362,14 @@ def _train_pairs(
     return u.copy()
 
 
-def _check_skip_gram(params, **minimums) -> None:
-    Estimator._require_at_least(
-        params, dimensions=1, window_size=1, negative_samples=0, epochs=1, **minimums
-    )
+_TRAINER_MINIMUMS = {"dimensions": 1, "window_size": 1, "negative_samples": 0, "epochs": 1}
 
 
 def sgns_train(corpus: WalkCorpus, params: SkipGramParams) -> np.ndarray:
     """Skip-gram with negative sampling on all window co-occurrences of
     ``corpus``; returns the center-vector table, one row per node.  Reads the
     six :class:`SkipGramParams` fields of ``params``: a walk model passes itself."""
-    _check_skip_gram(params)
+    Estimator._require_at_least(params, **_TRAINER_MINIMUMS)
     walks = corpus.walks
     template = _window_template(walks.shape[1], params.window_size)
     return _train_pairs(walks, corpus.node_count, template, params)
@@ -396,20 +393,19 @@ class _WalkModel(Estimator):
     learning_rate: float = 0.025
     seed: int = 42
 
+    # the hyperparameters double as the trainer settings
+    _minimums = {**_TRAINER_MINIMUMS, "walk_number": 1, "walk_length": 2}
     get_embedding = Estimator.getter("embedding")
 
     def _walks(self, g: Graph) -> WalkCorpus:
-        """Check the hyperparameters, which double as the trainer settings; the walks on ``g``."""
-        _check_skip_gram(self, walk_number=1, walk_length=2)
         return generate_walks(g, self.walk_number, self.walk_length, RandomSource(self.seed, 0))
 
 
 class DeepWalkModel(_WalkModel):
     """Truncated random walks + skip-gram over window co-occurrences."""
 
-    def fit(self, g: Graph) -> "DeepWalkModel":
+    def _fit(self, g: Graph, nbrs: list[list[int]]) -> None:
         self._embedding = sgns_train(self._walks(g), self)
-        return self
 
 
 class WalkletsModel(_WalkModel):
@@ -419,14 +415,17 @@ class WalkletsModel(_WalkModel):
     dimensions: int = 32
     window_size: int = 4
 
-    def fit(self, g: Graph) -> "WalkletsModel":
-        self._require_at_least()  # the types, before window_size meets walk_length
-        # scale walk_length has no pairs: known before any walk is drawn
+    def _require_at_least(self, **minimums) -> None:
+        # the types, then window_size < walk_length (scale walk_length has no pairs), then minimums
+        super()._require_at_least()
         if self.window_size >= self.walk_length:
             raise EmptyCorpus(
                 f"window_size {self.window_size} needs walks longer than it, "
                 f"got walk_length {self.walk_length}"
             )
+        super()._require_at_least(**minimums)
+
+    def _fit(self, g: Graph, nbrs: list[list[int]]) -> None:
         corpus = self._walks(g)
         length = self.walk_length
         self._embedding = np.concatenate([
@@ -436,7 +435,6 @@ class WalkletsModel(_WalkModel):
             )
             for s in range(1, self.window_size + 1)
         ], axis=1)
-        return self
 
 
 class NetMfModel(Estimator):
@@ -453,15 +451,14 @@ class NetMfModel(Estimator):
     negatives: int = 1
     seed: int = 42
 
+    _minimums = {"order": 1, "negatives": 1}
     get_embedding = Estimator.getter("embedding")
 
-    def fit(self, g: Graph) -> "NetMfModel":
-        self._require_at_least(order=1, negatives=1)
-        require_connected(g)
-        p = transition_matrix(g)  # an edgeless graph fails here, as in the walk models
+    def _fit(self, g: Graph, nbrs: list[list[int]]) -> None:
         n = g.node_count
         if n > NETMF_NODE_CAP:
             raise GraphTooLarge(f"netmf is capped at {NETMF_NODE_CAP} nodes, got {n}")
+        p = transition_matrix(g)  # an edgeless graph fails here, as in the walk models
         if self.dimensions < 1 or self.dimensions > n:
             raise RankTooLarge(f"dimensions {self.dimensions} not in 1..{n}")
         deg = g.degrees.astype(np.float64)
@@ -479,4 +476,3 @@ class NetMfModel(Estimator):
         m.eliminate_zeros()
         svd = randomized_svd(m, self.dimensions, RandomSource(self.seed, 0))
         self._embedding = svd.U * np.sqrt(svd.singular_values)
-        return self

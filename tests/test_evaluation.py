@@ -17,6 +17,8 @@ from graphmine import (
     softmax_fit,
     softmax_loss_and_gradient,
     softmax_predict,
+    build_graph,
+    modularity,
     train_test_split,
 )
 from oracles import auc_pairwise, central_difference, gradient_gap, nmi_reference
@@ -59,6 +61,38 @@ def test_nmi_rejects_mismatched_lengths():
         nmi([0, 1], [0, 1, 1])
     with pytest.raises(LengthMismatch):
         nmi([], [])
+
+
+# --- labels under the integer rule ---
+
+_BAD_LABELS = [[0.2, 0.7], [0.0, 1.0], [True, False], ["a", "b"], [2**63, 0], [-1, 2**63],
+               [2**64, 0], [[0], [1, 2]]]
+_LABEL_TAKERS = {
+    "nmi-a": ("a", lambda bad: nmi(bad, [0, 1])),
+    "nmi-b": ("b", lambda bad: nmi([0, 1], bad)),
+    "auc": ("y_true", lambda bad: auc(bad, np.array([[0.3, 0.7], [0.6, 0.4]]))),
+    "softmax_fit": ("y", lambda bad: softmax_fit(np.eye(2), bad)),
+    "modularity": ("memberships", lambda bad: modularity(build_graph(2, [(0, 1)]), dict(enumerate(bad)))),
+}
+
+
+@pytest.mark.parametrize("taker", list(_LABEL_TAKERS))
+@pytest.mark.parametrize("bad", _BAD_LABELS, ids=repr)
+def test_labels_must_be_integers_within_int64(taker, bad):
+    name, call = _LABEL_TAKERS[taker]
+    with pytest.raises(InputContractError, match=f"^{name} must hold integers, got "):
+        call(bad)
+
+
+def test_labels_of_every_integer_width_are_taken_and_empty_ones_keep_their_error():
+    assert nmi(np.array([0, 1], dtype=np.uint64), np.array([1, 0], dtype=np.int8)) == 1.0
+    # three singletons on the path 0-1-2, which truncating 0.5 would have merged
+    path = build_graph(3, [(0, 1), (1, 2)])
+    assert modularity(path, {0: 0, 1: np.uint8(1), 2: 2}) == -0.375
+    with pytest.raises(InputContractError, match="^memberships must hold integers"):
+        modularity(path, {0: 0, 1: 0.5, 2: 1})
+    with pytest.raises(LengthMismatch):
+        nmi([], np.array([], dtype=np.float64))
 
 
 # --- splits ---

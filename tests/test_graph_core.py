@@ -8,7 +8,9 @@ import pytest
 from graphmine import (
     ConnectivityRetryExhausted,
     DeepWalkModel,
+    DisconnectedGraph,
     DuplicateEdge,
+    EmptyCorpus,
     Estimator,
     GraphCorpus,
     InputContractError,
@@ -40,6 +42,7 @@ from graphmine import (
     triangles_per_node,
     validate_graph,
 )
+from graphmine.node_embedding import _WalkModel
 from builders import complete_graph, path_graph, star_graph, triangle_pair, two_cliques
 from oracles import triangle_counts_reference
 
@@ -368,6 +371,88 @@ def test_each_estimator_defines_its_own_fit(cls):
         f"{cls.__name__} inherits fit: perfbench/tracing.py names each fit span after the "
         "class whose __dict__ holds fit, so its per-estimator metrics would vanish"
     )
+    assert vars(cls)["fit"].__qualname__ == f"{cls.__name__}.fit"
+    assert "fit" not in vars(Estimator) and "fit" not in vars(_WalkModel)
+
+
+# the least value of each int field that has one, per estimator
+_WALK_MINIMUMS = {"walk_number": 1, "walk_length": 2, "dimensions": 1, "window_size": 1,
+                  "negative_samples": 0, "epochs": 1}
+_MINIMUMS = {
+    LabelPropagationModel: {"max_iterations": 1},
+    ScdModel: {"refinement_rounds": 0},
+    SymNmfModel: {"iterations": 1},
+    DeepWalkModel: _WALK_MINIMUMS,
+    WalkletsModel: _WALK_MINIMUMS,
+    NetMfModel: {"order": 1, "negatives": 1},
+    SfModel: {"dimensions": 1},
+    NetLsdModel: {},
+    WlSvdModel: {"wl_iterations": 0, "dimensions": 1},
+}
+_CORPUS_MODELS = (SfModel, NetLsdModel, WlSvdModel)
+
+
+def _refused_input(cls):
+    """What every fit refuses: an empty corpus, or a disconnected graph."""
+    return GraphCorpus(graphs=[]) if cls in _CORPUS_MODELS else build_graph(4, [(0, 1), (2, 3)])
+
+
+def _bad_fields():
+    """Each field set to a non-number, and each field with a minimum set below
+    it, except Walklets' walk_length: below 2 it meets window_size first."""
+    for cls, minimums in _MINIMUMS.items():
+        for name, default in _SIGNATURES[cls]:
+            kind = "an integer" if type(default) is int else "a number"
+            yield cls, {name: "x"}, f"{name} must be {kind}, got 'x'"
+            low = minimums.get(name)
+            if low is not None and not (cls is WalkletsModel and name == "walk_length"):
+                yield cls, {name: low - 1}, f"{name} must be >= {low}, got {low - 1}"
+
+
+_BAD_FIELDS = list(_bad_fields())
+
+
+@pytest.mark.parametrize(
+    "cls, change, message", _BAD_FIELDS,
+    ids=[f"{c.__name__}-{k}={v!r}" for c, change, _ in _BAD_FIELDS for k, v in change.items()],
+)
+def test_fit_checks_hyperparameters_before_its_input(cls, change, message):
+    with pytest.raises(InputContractError, match=f"^{re.escape(message)}$"):
+        cls(**change).fit(_refused_input(cls))
+
+
+@pytest.mark.parametrize("cls", list(_MINIMUMS), ids=lambda cls: cls.__name__)
+def test_fit_refuses_an_empty_corpus_or_a_disconnected_graph(cls):
+    error, message = (
+        (EmptyCorpus, "corpus contains no graphs") if cls in _CORPUS_MODELS
+        else (DisconnectedGraph, "graph is not connected")
+    )
+    with pytest.raises(error, match=f"^{message}$"):
+        cls().fit(_refused_input(cls))
+
+
+@pytest.mark.parametrize(
+    "change, error, message",
+    [
+        # every type and the float rule come before the window check ...
+        ({"window_size": 8, "walk_length": 8, "seed": "x"}, InputContractError,
+         "seed must be an integer, got 'x'"),
+        ({"window_size": 8, "walk_length": 8, "learning_rate": 0.0}, InputContractError,
+         "learning_rate must be a positive finite number, got 0.0"),
+        # ... which comes before every minimum ...
+        ({"walk_number": 0, "walk_length": 1}, EmptyCorpus,
+         "window_size 4 needs walks longer than it, got walk_length 1"),
+        ({"walk_number": 0, "window_size": 6, "walk_length": 6}, EmptyCorpus,
+         "window_size 6 needs walks longer than it, got walk_length 6"),
+        # ... and the minimums come in field order
+        ({"walk_number": 0, "epochs": 0}, InputContractError, "walk_number must be >= 1, got 0"),
+        ({"window_size": 0, "epochs": 0}, InputContractError, "window_size must be >= 1, got 0"),
+    ],
+    ids=["type", "float-rule", "walk-length-1", "window-equals-length", "walk-number", "window-0"],
+)
+def test_walklets_checks_types_then_the_window_then_minimums(change, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        WalkletsModel(**change).fit(_refused_input(WalkletsModel))
 
 
 def _fit_with(holder):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from graphmine import (
     GraphCorpus,
     GraphTooLarge,
     IncompleteFeatureMap,
+    InputContractError,
     IsolatedNode,
     NetLsdModel,
     NotFitted,
@@ -45,6 +47,17 @@ def test_wl_features_multiset_size():
         assert sum(fs.counts.values()) == 9 * (iterations + 1)
         assert fs.iterations == iterations
         assert fs.node_count == 9
+
+
+@pytest.mark.parametrize(
+    "iterations, message",
+    [(-1, "iterations must be >= 0, got -1"), (True, "iterations must be an integer, got True"),
+     (1.5, "iterations must be an integer, got 1.5"), ("2", "iterations must be an integer, got '2'")],
+    ids=["negative", "bool", "float", "text"],
+)
+def test_wl_features_checks_iterations(iterations, message):
+    with pytest.raises(InputContractError, match=f"^{re.escape(message)}$"):
+        wl_features(path_graph(3), None, iterations)
 
 
 def test_wl_degree_fallback_round_zero():

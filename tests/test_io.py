@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from graphmine import (
+    DuplicateEdge,
     EmptyCorpus,
     InputContractError,
+    OutOfRangeNode,
     RandomSource,
+    SelfLoop,
     embedding_text,
     format_float,
     read_corpus_jsonl,
@@ -229,6 +232,22 @@ def test_readers_raise_typed_errors_with_line_context(tmp_path, reader, name, te
     path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     with pytest.raises(InputContractError, match=re.escape(f"{name}:{line}: ")):
         reader(str(path))
+
+
+@pytest.mark.parametrize(
+    "edges, error, message",
+    [
+        ("[[0, 1], [1, 1]]", SelfLoop, "self-loop at node 1"),
+        ("[[0, 1], [1, 0]]", DuplicateEdge, "edge (1,0) given more than once"),
+        ("[[0, 1], [-1, 0]]", OutOfRangeNode, "edge (-1,0) outside 0..1"),
+    ],
+    ids=["self-loop", "repeated-pair", "negative-endpoint"],
+)
+def test_corpus_graph_errors_name_the_file_and_line(tmp_path, edges, error, message):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"edges": [[0, 1]]}\n{"edges": %s}\n' % edges)
+    with pytest.raises(error, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+        read_corpus_jsonl(str(path))
 
 
 def test_corpus_labels_must_be_all_or_none(tmp_path):

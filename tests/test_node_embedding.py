@@ -535,9 +535,14 @@ def test_netmf_is_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_netmf_enforces_node_cap():
+def test_netmf_enforces_node_cap(monkeypatch):
+    def no_matrix(g):
+        raise AssertionError("transition matrix built for a graph above the cap")
+
+    # the cap comes before the transition matrix, and its scipy import
+    monkeypatch.setattr(node_embedding, "transition_matrix", no_matrix)
     g = path_graph(NETMF_NODE_CAP + 1)
-    with pytest.raises(GraphTooLarge):
+    with pytest.raises(GraphTooLarge, match=f"^netmf is capped at {NETMF_NODE_CAP} nodes, got 8193$"):
         NetMfModel(dimensions=2).fit(g)
 
 
