@@ -85,10 +85,10 @@ class LabelPropagationModel(Estimator):
     _minimums = {"max_iterations": 1}
     get_memberships = Estimator.getter("memberships")
 
-    def _fit(self, g: Graph, nbrs: list[list[int]]) -> None:
+    def _fit(self, data: Graph) -> None:
         # plain lists: a visit counts its neighbors' labels in a dict, in
         # O(degree), where an array count would cost O(largest label)
-        n = g.node_count
+        n, nbrs = data.node_count, data.neighbor_lists()
         gen = RandomSource(self.seed, 0).generator()
         labels = list(range(n))
         for _ in range(self.max_iterations):
@@ -130,9 +130,8 @@ class ScdModel(Estimator):
     _minimums = {"refinement_rounds": 0}
     get_memberships = Estimator.getter("memberships")
 
-    def _fit(self, g: Graph, nbrs: list[list[int]]) -> None:
-        n = g.node_count
-        deg = g.degrees
+    def _fit(self, data: Graph) -> None:
+        n, deg, nbrs = data.node_count, data.degrees, data.neighbor_lists()
         partners, t_counts = triangle_partners(nbrs)
         partner_sets = [set(p) for p in partners]
 
@@ -142,16 +141,16 @@ class ScdModel(Estimator):
         order = np.argsort(-cc, kind="stable").tolist()  # ties by ascending id
 
         labels = [-1] * n
-        members: dict[int, set] = {}  # label -> its nodes; labels are 0, 1, ... in seeding order
+        sizes: list[int] = []  # label -> its node count; labels are 0, 1, ... in seeding order
         for v in order:
             if labels[v] != -1:
                 continue
-            group = {v}
+            group = [v]
             if t_counts[v] > 0:
-                group.update(u for u in nbrs[v] if labels[u] == -1 and t_counts[u] > 0)
+                group += [u for u in nbrs[v] if labels[u] == -1 and t_counts[u] > 0]
             for u in group:
-                labels[u] = len(members)
-            members[len(members)] = group
+                labels[u] = len(sizes)
+            sizes.append(len(group))
 
         for _ in range(self.refinement_rounds):
             moved = False
@@ -174,23 +173,20 @@ class ScdModel(Estimator):
                 others = sorted(c for c, group in groups.items() if len(group) >= 2 and c != current)
                 if not others:
                     continue
-                own = members[current]
-                own.discard(v)
+                sizes[current] -= 1  # v leaves, then joins the best community
                 k = len(partners[v])
                 best_label, best_score = current, -1.0
                 for cand in [current, *others]:
                     group = groups.get(cand, [])
                     inside = set(group)
                     t_in = sum(len(inside.intersection(partner_sets[u])) for u in group) // 2
-                    score = (t_in / t_v) * (k / (len(members[cand]) + k - len(group)))
+                    score = (t_in / t_v) * (k / (sizes[cand] + k - len(group)))
                     if score > best_score:
                         best_label, best_score = cand, score
-                if best_label == current:
-                    own.add(v)
-                else:
+                sizes[best_label] += 1
+                if best_label != current:
                     moved = True
                     labels[v] = best_label
-                    members[best_label].add(v)
             if not moved:
                 break
 
@@ -234,18 +230,18 @@ class SymNmfModel(Estimator):
     get_embedding = Estimator.getter("embedding")
     get_memberships = Estimator.getter("memberships")
 
-    def _fit(self, g: Graph, nbrs: list[list[int]]) -> None:
+    def _fit(self, data: Graph) -> None:
         """Fit H >= 0 minimizing ||A - H H^T||_F^2."""
-        n = g.node_count
+        n = data.node_count
         k = self.dimensions
         if k < 1 or k > n:
             raise RankTooLarge(f"dimensions {k} not in 1..{n}")
-        a = g.adjacency_scipy()
+        a = data.adjacency_scipy()
         gen = RandomSource(self.seed, 0).generator()
-        mean_a = 2.0 * g.edge_count / float(n * n)
+        mean_a = 2.0 * data.edge_count / float(n * n)
         h = gen.random((n, k)) * np.sqrt(mean_a / k)
 
-        a_fro2 = 2.0 * g.edge_count  # sum of squared 0/1 adjacency entries
+        a_fro2 = 2.0 * data.edge_count  # sum of squared 0/1 adjacency entries
 
         def loss(h: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
             """The loss at h, and the products A H and H^T H it is built from,

@@ -190,27 +190,28 @@ class Estimator:
     Equality and hashing stay by identity, and no repr is generated.  A
     subclass that defines ``_fit`` gets its own ``fit(data)``, named
     ``<Class>.fit`` so that traces tell the estimators apart.  It checks the
-    hyperparameters at the class's ``_minimums``, then ``data``: a connected
-    :class:`Graph`, passed on as ``_fit(data, nbrs)`` with the neighbour
-    lists the check walked, or a non-empty corpus of connected graphs, as
-    ``_fit(data)``.  ``_fit`` stores each result ``x`` as ``self._x``, and
-    ``fit`` returns ``self``.  The getter made by :meth:`getter` raises
+    hyperparameters at the class's ``_minimums``, then that ``data`` is an
+    instance of the class's ``_input``: a connected :class:`Graph`, or a
+    non-empty :class:`GraphCorpus` of connected graphs.  It then calls
+    ``_fit(data)``, which stores each result ``x`` as ``self._x``, and
+    returns ``self``.  The getter made by :meth:`getter` raises
     :class:`NotFitted` before that and returns a copy after, so callers
     never share the fitted state.
     """
 
     _minimums = {}  # int field -> its least allowed value, where it has one
+    _input = Graph  # the type fit takes; the corpus models set GraphCorpus
 
     def __init_subclass__(cls):
         dataclass(eq=False, repr=False)(cls)
         if "_fit" in vars(cls):
             def fit(self, data):
                 self._require_at_least(**self._minimums)
-                if isinstance(data, Graph):
-                    self._fit(data, require_connected(data))
-                else:
-                    _require_corpus(data)
-                    self._fit(data)
+                if not isinstance(data, self._input):
+                    raise InputContractError(f"{type(self).__name__}.fit takes a "
+                                             f"{self._input.__name__}, got {type(data).__name__}")
+                (require_connected if self._input is Graph else _require_corpus)(data)
+                self._fit(data)
                 return self
 
             fit.__qualname__ = f"{cls.__name__}.fit"
@@ -344,17 +345,19 @@ def _checked_pairs(n: int, edges) -> np.ndarray:
     return np.array(list(seen), dtype=np.int64).reshape(-1, 2)
 
 
-def _reaches_all(nbrs: list[list[int]]) -> bool:
-    """Whether a breadth-first pass over ``nbrs`` from node 0 reaches every node."""
-    seen = bytearray(len(nbrs))
+def _reaches_all(g: Graph) -> bool:
+    """Whether a breadth-first pass over ``g`` from node 0 reaches every node;
+    it walks the flat adjacency as two Python lists, with no per-node list."""
+    offsets, targets = g.offsets.tolist(), g.targets.tolist()
+    seen = bytearray(g.node_count)
     seen[0] = 1
     reached = [0]
     for u in reached:  # the list grows behind the loop: a FIFO queue
-        for v in nbrs[u]:
+        for v in targets[offsets[u]: offsets[u + 1]]:
             if not seen[v]:
                 seen[v] = 1
                 reached.append(v)
-    return len(reached) == len(nbrs)
+    return len(reached) == g.node_count
 
 
 def validate_graph(g: Graph) -> ValidationReport:
@@ -365,29 +368,29 @@ def validate_graph(g: Graph) -> ValidationReport:
     """
     isolated = int(np.count_nonzero(g.degrees == 0))
     return ValidationReport(
-        is_connected=_reaches_all(g.neighbor_lists()),
+        is_connected=_reaches_all(g),
         is_contiguous=(isolated == 0),
         isolated_node_count=isolated,
     )
 
 
-def require_connected(g: Graph, name: str = "graph") -> list[list[int]]:
+def require_connected(g: Graph, name: str = "graph") -> None:
     """Raise :class:`DisconnectedGraph` unless ``g`` is connected.
 
     ``name`` leads the error message, e.g. ``"graph 3"`` for a corpus member.
-    Returns the :meth:`Graph.neighbor_lists` it walked, for the fit to reuse.
     """
-    nbrs = g.neighbor_lists()
-    if not _reaches_all(nbrs):
+    if not _reaches_all(g):
         raise DisconnectedGraph(f"{name} is not connected")
-    return nbrs
 
 
 def _require_corpus(corpus) -> None:
-    """:class:`EmptyCorpus` for no graphs, else :func:`require_connected` of each, in order."""
+    """:class:`EmptyCorpus` for no graphs, else for each graph, in order,
+    :class:`InputContractError` unless it is a :class:`Graph`, then :func:`require_connected`."""
     if len(corpus) == 0:
         raise EmptyCorpus("corpus contains no graphs")
     for i, g in enumerate(corpus.graphs):
+        if not isinstance(g, Graph):
+            raise InputContractError(f"graph {i} is not a Graph, got {type(g).__name__}")
         require_connected(g, f"graph {i}")
 
 

@@ -21,7 +21,6 @@ from .linalg import DENSE_SIZE_CAP, eigvals_symmetric, randomized_svd
 
 __all__ = [
     "GraphCorpus",
-    "WlFeatureSet",
     "SfModel",
     "NetLsdModel",
     "WlSvdModel",
@@ -52,19 +51,6 @@ class GraphCorpus:
         return len(self.graphs)
 
 
-@dataclass(frozen=True)
-class WlFeatureSet:
-    """Multiset of subtree-pattern strings from all refinement rounds.
-
-    Cardinality is node_count * (iterations + 1): one label per node per
-    round, each prefixed with its round index so rounds never collide.
-    """
-
-    counts: Counter
-    iterations: int
-    node_count: int
-
-
 def _escape(label: str) -> str:
     """``label`` with its ``\\``, ``|`` and ``,`` backslash-escaped, so that
     :func:`_hash_label` payloads of different label multisets differ."""
@@ -77,14 +63,15 @@ def _hash_label(own: str, neighbor_labels: list) -> str:
     return hashlib.blake2b(payload.encode("utf-8"), digest_size=8).hexdigest()
 
 
-def wl_features(g: Graph, features: dict | None, iterations: int) -> WlFeatureSet:
+def wl_features(g: Graph, features: dict | None, iterations: int) -> Counter:
     """Iterated neighborhood-refinement string features.
 
     Round 0 labels are the provided per-node strings, or the decimal degree
     when no map is given; round 1 hashes them escaped by :func:`_escape`.
     Each round hashes a node's own label together with its sorted neighbor
-    labels into a stable 64-bit hex string.  All rounds contribute to the
-    returned multiset.
+    labels into a stable 64-bit hex string.  Returns the multiset of all
+    rounds' labels, node_count * (iterations + 1) of them, each prefixed
+    with its round index so rounds never collide.
     """
     _require("iterations", iterations, int, 0)
     n = g.node_count
@@ -101,7 +88,7 @@ def wl_features(g: Graph, features: dict | None, iterations: int) -> WlFeatureSe
     for r in range(1, iterations + 1):
         labels = [_hash_label(labels[v], [labels[u] for u in nbrs[v]]) for v in range(n)]
         counts.update(f"{r}:{label}" for label in labels)
-    return WlFeatureSet(counts=counts, iterations=iterations, node_count=n)
+    return counts
 
 
 def _spectra(corpus: GraphCorpus) -> list:
@@ -122,13 +109,14 @@ class SfModel(Estimator):
 
     dimensions: int = 32
 
+    _input = GraphCorpus
     _minimums = {"dimensions": 1}
     get_embedding = Estimator.getter("embedding")
 
-    def _fit(self, corpus: GraphCorpus) -> None:
+    def _fit(self, data: GraphCorpus) -> None:
         d = self.dimensions
-        rows = np.zeros((len(corpus), d))
-        for i, vals in enumerate(_spectra(corpus)):
+        rows = np.zeros((len(data), d))
+        for i, vals in enumerate(_spectra(data)):
             take = min(d, len(vals))
             rows[i, :take] = vals[:take]
         self._embedding = rows
@@ -143,12 +131,13 @@ class NetLsdModel(Estimator):
     time_points = np.logspace(-2.0, 2.0, 250)
     time_points.setflags(write=False)
 
+    _input = GraphCorpus
     get_embedding = Estimator.getter("embedding")
 
-    def _fit(self, corpus: GraphCorpus) -> None:
+    def _fit(self, data: GraphCorpus) -> None:
         t = self.time_points
-        rows = np.zeros((len(corpus), len(t)))
-        for i, vals in enumerate(_spectra(corpus)):
+        rows = np.zeros((len(data), len(t)))
+        for i, vals in enumerate(_spectra(data)):
             rows[i] = np.exp(-np.outer(t, vals)).sum(axis=1)
         self._embedding = rows
 
@@ -167,14 +156,15 @@ class WlSvdModel(Estimator):
     dimensions: int = 128
     seed: int = 42
 
+    _input = GraphCorpus
     _minimums = {"wl_iterations": 0, "dimensions": 1}
     get_embedding = Estimator.getter("embedding")
 
-    def _fit(self, corpus: GraphCorpus) -> None:
-        n_graphs = len(corpus)
-        fmaps = corpus.features or [None] * n_graphs
-        feature_sets = [wl_features(g, fmap, self.wl_iterations).counts
-                        for g, fmap in zip(corpus.graphs, fmaps)]
+    def _fit(self, data: GraphCorpus) -> None:
+        n_graphs = len(data)
+        fmaps = data.features or [None] * n_graphs
+        feature_sets = [wl_features(g, fmap, self.wl_iterations)
+                        for g, fmap in zip(data.graphs, fmaps)]
 
         vocabulary = sorted(set().union(*feature_sets))
         index = {feat: j for j, feat in enumerate(vocabulary)}

@@ -45,11 +45,10 @@ _BLOCK_BYTES = 3 << 19
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Truncated factorization A ~ U diag(s) V^T with s descending."""
+    """U and s, descending, of a truncated factorization A ~ U diag(s) V^T."""
 
     U: np.ndarray
     singular_values: np.ndarray
-    V: np.ndarray
 
 
 def _check_square_symmetric(a: np.ndarray) -> np.ndarray:
@@ -129,9 +128,9 @@ def randomized_svd(a: _sp.spmatrix, k: int, rng: RandomSource) -> SvdResult:
     each step) are fixed.  The small projected Gram matrix is diagonalized by
     LAPACK's symmetric eigensolver, so the result is deterministic given
     ``rng`` (and the BLAS thread count).  Signs are canonicalized so the
-    largest-magnitude entry of each left vector is positive.  The products
-    run on a float64 CSR copy with sorted column indices; ``a`` itself is
-    never modified.
+    largest-magnitude entry of each left vector is positive; V is never
+    formed.  The products run on a float64 CSR copy with sorted column
+    indices; ``a`` itself is never modified.
     """
     rows, cols = a.shape
     if k < 1 or k > min(rows, cols):
@@ -148,18 +147,10 @@ def randomized_svd(a: _sp.spmatrix, k: int, rng: RandomSource) -> SvdResult:
     b = _product(m.T, q).T  # sketch x cols, dense: q.T @ m as scipy computes it
     lam, ub = _eigh(b @ b.T)
     order = np.argsort(lam, kind="stable")[::-1][:k]
-    lam = np.maximum(lam[order], 0.0)
-    sigma = np.sqrt(lam)
-    ub = ub[:, order]
-    u = q @ ub
-    v = b.T @ ub
-    # columns of v carry a sigma factor; divide it out where sigma > 0
-    good = sigma > sigma[0] * 1e-13
-    v[:, good] /= sigma[good]
-    v[:, ~good] = 0.0
+    sigma = np.sqrt(np.maximum(lam[order], 0.0))
+    u = q @ ub[:, order]
     # sign canonicalization: largest-|entry| of each u column made positive
     flip = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
     flip[flip == 0.0] = 1.0
     u *= flip
-    v *= flip
-    return SvdResult(U=u, singular_values=sigma, V=v)
+    return SvdResult(U=u, singular_values=sigma)

@@ -302,8 +302,8 @@ def _train_pairs(
     would.  Negative keys and rates are drawn per chunk of whole batches
     inside a walk block, at most ``_CHUNK_PAIRS`` pairs, from the same
     stream as batch by batch; :func:`_bucket_search` returns exactly
-    ``np.searchsorted(cum, r)``.  A NaN or infinite entry after a chunk,
-    or one beyond ``_WEIGHT_BOUND`` in absolute value at the end, raises
+    ``np.searchsorted(cum, r)``.  An entry that is NaN or beyond
+    ``_WEIGHT_BOUND`` in absolute value at the end of a chunk raises
     :class:`NoConvergence`.
     """
     total_pairs = walks.shape[0] * len(template[0])
@@ -355,10 +355,9 @@ def _train_pairs(
                     np.add(xb, n, out=rows[b: 2 * b])
                     np.add(negs.ravel(), n, out=rows[2 * b:])
                     table += sel @ x
-                if not np.isfinite(table).all():  # a non-finite entry stays so under +=
+                # a NaN entry makes min and max NaN, which fails the comparisons too
+                if not -_WEIGHT_BOUND <= table.min() <= table.max() <= _WEIGHT_BOUND:
                     raise NoConvergence(_DIVERGED)
-    if not (np.abs(table) <= _WEIGHT_BOUND).all():
-        raise NoConvergence(_DIVERGED)
     return u.copy()
 
 
@@ -404,8 +403,8 @@ class _WalkModel(Estimator):
 class DeepWalkModel(_WalkModel):
     """Truncated random walks + skip-gram over window co-occurrences."""
 
-    def _fit(self, g: Graph, nbrs: list[list[int]]) -> None:
-        self._embedding = sgns_train(self._walks(g), self)
+    def _fit(self, data: Graph) -> None:
+        self._embedding = sgns_train(self._walks(data), self)
 
 
 class WalkletsModel(_WalkModel):
@@ -425,8 +424,8 @@ class WalkletsModel(_WalkModel):
             )
         super()._require_at_least(**minimums)
 
-    def _fit(self, g: Graph, nbrs: list[list[int]]) -> None:
-        corpus = self._walks(g)
+    def _fit(self, data: Graph) -> None:
+        corpus = self._walks(data)
         length = self.walk_length
         self._embedding = np.concatenate([
             _train_pairs(
@@ -454,14 +453,14 @@ class NetMfModel(Estimator):
     _minimums = {"order": 1, "negatives": 1}
     get_embedding = Estimator.getter("embedding")
 
-    def _fit(self, g: Graph, nbrs: list[list[int]]) -> None:
-        n = g.node_count
+    def _fit(self, data: Graph) -> None:
+        n = data.node_count
         if n > NETMF_NODE_CAP:
             raise GraphTooLarge(f"netmf is capped at {NETMF_NODE_CAP} nodes, got {n}")
-        p = transition_matrix(g)  # an edgeless graph fails here, as in the walk models
+        p = transition_matrix(data)  # an edgeless graph fails here, as in the walk models
         if self.dimensions < 1 or self.dimensions > n:
             raise RankTooLarge(f"dimensions {self.dimensions} not in 1..{n}")
-        deg = g.degrees.astype(np.float64)
+        deg = data.degrees.astype(np.float64)
         vol = float(deg.sum())
         sparse = _sparse()
         d_inv = sparse.diags(1.0 / deg)

@@ -431,6 +431,46 @@ def test_fit_refuses_an_empty_corpus_or_a_disconnected_graph(cls):
         cls().fit(_refused_input(cls))
 
 
+def _wrong_inputs(cls):
+    """(input, its type name) for each kind of input ``cls.fit`` does not take."""
+    other = path_graph(3) if cls in _CORPUS_MODELS else GraphCorpus(graphs=[path_graph(3)])
+    return [(other, type(other).__name__), ([path_graph(3)], "list"), (None, "NoneType")]
+
+
+@pytest.mark.parametrize("cls", list(_MINIMUMS), ids=lambda cls: cls.__name__)
+def test_fit_refuses_the_wrong_kind_of_input(cls):
+    kind = "GraphCorpus" if cls in _CORPUS_MODELS else "Graph"
+    for data, name in _wrong_inputs(cls):
+        with pytest.raises(InputContractError, match=f"^{cls.__name__}.fit takes a {kind}, got {name}$"):
+            cls().fit(data)
+
+
+@pytest.mark.parametrize(
+    "cls, change, message", _BAD_FIELDS,
+    ids=[f"{c.__name__}-{k}={v!r}" for c, change, _ in _BAD_FIELDS for k, v in change.items()],
+)
+def test_fit_checks_hyperparameters_before_the_kind_of_input(cls, change, message):
+    for data, _ in _wrong_inputs(cls):
+        with pytest.raises(InputContractError, match=f"^{re.escape(message)}$"):
+            cls(**change).fit(data)
+
+
+@pytest.mark.parametrize("cls", _CORPUS_MODELS, ids=lambda cls: cls.__name__)
+def test_corpus_fit_names_the_first_member_that_is_not_a_graph(cls):
+    with pytest.raises(InputContractError, match="^graph 1 is not a Graph, got str$"):
+        cls().fit(GraphCorpus(graphs=[path_graph(3), "x", None]))
+    # members are checked in order: a disconnected one before a later non-graph
+    with pytest.raises(DisconnectedGraph, match="^graph 0 is not connected$"):
+        cls().fit(GraphCorpus(graphs=[_refused_input(LabelPropagationModel), "x"]))
+
+
+@pytest.mark.parametrize("cls", list(_MINIMUMS), ids=lambda cls: cls.__name__)
+def test_each_fit_hands_its_model_only_the_data(cls):
+    # the neighbour lists of the connectivity check are not handed on: a
+    # model that walks the graph node by node builds them itself
+    assert list(inspect.signature(cls._fit).parameters) == ["self", "data"]
+
+
 @pytest.mark.parametrize(
     "change, error, message",
     [

@@ -270,16 +270,18 @@ def test_trainer_raises_no_convergence_when_weights_overflow():
             model.get_embedding()
 
 
-def test_trainer_stops_at_the_first_chunk_that_diverges(monkeypatch):
-    """The d=14 fit above is NaN after its second epoch, so it raises before
-    it draws the negatives of the third: fewer than a full run's."""
+@pytest.mark.parametrize("dimensions", [14, 4])
+def test_trainer_stops_at_the_first_chunk_that_diverges(monkeypatch, dimensions):
+    """Both fits above hold a weight that is NaN or beyond the bound after
+    their first epoch, one chunk of pairs, so each raises before it draws
+    the negatives of the second: fewer than a full run's."""
     drawn = []
     search = node_embedding._bucket_search
     monkeypatch.setattr(
         node_embedding, "_bucket_search", lambda table, cum, r: drawn.append(r.size) or search(table, cum, r)
     )
     model = DeepWalkModel(
-        walk_number=2, walk_length=18, dimensions=14, window_size=3,
+        walk_number=2, walk_length=18, dimensions=dimensions, window_size=3,
         negative_samples=6, epochs=3, learning_rate=0.5, seed=411,
     )
     with pytest.raises(NoConvergence, match="^skip-gram training diverged: a weight is NaN"):
