@@ -70,7 +70,6 @@ class SplitIndices:
 
     train: np.ndarray
     test: np.ndarray
-    seed: int
 
 
 def train_test_split(n: int, ratio: float = 0.8, seed: int = 42) -> SplitIndices:
@@ -86,7 +85,7 @@ def train_test_split(n: int, ratio: float = 0.8, seed: int = 42) -> SplitIndices
     if n_train == 0 or n_train == n:
         raise DegenerateSplit(f"ratio {ratio} empties one side for n={n}")
     perm = RandomSource(seed, 0).generator().permutation(n)
-    return SplitIndices(train=perm[:n_train], test=perm[n_train:], seed=seed)
+    return SplitIndices(train=perm[:n_train], test=perm[n_train:])
 
 
 @dataclass(eq=False, repr=False)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCorpus, GraphTooLarge, IncompleteFeatureMap
+from .errors import EmptyCorpus, GraphTooLarge, IncompleteFeatureMap, InputContractError
 from .graph_core import Estimator, Graph, RandomSource, _require, _sparse, normalized_laplacian
 from .linalg import DENSE_SIZE_CAP, eigvals_symmetric, randomized_svd
 
@@ -42,6 +42,9 @@ class GraphCorpus:
     labels: list | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.graphs, (list, tuple)):
+            kind = type(self.graphs).__name__
+            raise InputContractError(f"graphs must be a list or tuple, got {kind}")
         if self.features is not None and len(self.features) != len(self.graphs):
             raise IncompleteFeatureMap("one feature map (or None) required per graph")
         if self.labels is not None and len(self.labels) != len(self.graphs):

@@ -129,14 +129,16 @@ def randomized_svd(a: _sp.spmatrix, k: int, rng: RandomSource) -> SvdResult:
     LAPACK's symmetric eigensolver, so the result is deterministic given
     ``rng`` (and the BLAS thread count).  Signs are canonicalized so the
     largest-magnitude entry of each left vector is positive; V is never
-    formed.  The products run on a float64 CSR copy with sorted column
-    indices; ``a`` itself is never modified.
+    formed.  The products read a float64 CSR with sorted column indices:
+    ``a`` itself when it is one, else a converted or sorted copy; ``a`` is
+    never modified.
     """
     rows, cols = a.shape
     if k < 1 or k > min(rows, cols):
         raise RankTooLarge(f"rank {k} not in 1..{min(rows, cols)}")
-    m = _sparse().csr_matrix(a, dtype=np.float64, copy=True)
-    m.sort_indices()
+    m = _sparse().csr_matrix(a, dtype=np.float64)
+    if not m.has_sorted_indices:
+        m = m.sorted_indices()
     sketch = min(k + 10, min(rows, cols))
     gen = rng.generator()
     omega = gen.standard_normal((cols, sketch))

@@ -441,8 +441,10 @@ class NetMfModel(Estimator):
 
     The proximity is vol(G)/(negatives*order) * (sum of transition-matrix
     powers 1..order) * D^-1; entries at or below 1 vanish under the
-    elementwise log-clamp, so the matrix stays sparse exactly.  The
-    embedding is U * sqrt(singular values) from the truncated SVD.
+    elementwise log-clamp, so the matrix stays sparse exactly.  It is built
+    in place: the scaling, the clamp and the log overwrite the sum's data,
+    and the SVD reads that sorted CSR without a copy.  The embedding is
+    U * sqrt(singular values) from the truncated SVD.
     """
 
     dimensions: int = 32
@@ -462,16 +464,19 @@ class NetMfModel(Estimator):
             raise RankTooLarge(f"dimensions {self.dimensions} not in 1..{n}")
         deg = data.degrees.astype(np.float64)
         vol = float(deg.sum())
-        sparse = _sparse()
-        d_inv = sparse.diags(1.0 / deg)
-        power = acc = p
+        power = m = p
         for _ in range(2, self.order + 1):
             power = power @ p
-            acc = acc + power
-        m = (vol / (self.negatives * self.order)) * (acc @ d_inv)
+            m = m + power
+        del power, p
+        # m @ D^-1, then the scalar, in place: each entry times 1/deg of its
+        # column, as the sparse product with diags(1/deg) computes it
+        m.data *= (1.0 / deg)[m.indices]
+        m.data *= vol / (self.negatives * self.order)
         # log of entries clamped to >= 1: entries <= 1 map to exactly 0,
         # so sparsity is preserved without approximation
-        m.data = np.log(np.maximum(m.data, 1.0))
+        np.log(np.maximum(m.data, 1.0, out=m.data), out=m.data)
         m.eliminate_zeros()
+        m.sort_indices()  # so that randomized_svd reads m without a copy
         svd = randomized_svd(m, self.dimensions, RandomSource(self.seed, 0))
         self._embedding = svd.U * np.sqrt(svd.singular_values)

@@ -48,5 +48,11 @@ def planted_two_block(block, p_in, p_out, seed):
     return build_graph(n, edges)
 
 
+def hub_heavy(n, m, seed):
+    """A G(n, m) with node 0 joined to every other node."""
+    edges = set(erdos_renyi_gnm(n, m, RandomSource(seed, 0)).edges())
+    return build_graph(n, edges | {(0, v) for v in range(1, n)})
+
+
 def random_connected(n, m, seed):
     return erdos_renyi_gnm(n, m, RandomSource(seed, 0), connected=True)

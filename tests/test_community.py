@@ -19,6 +19,7 @@ from graphmine import (
 from builders import (
     complete_graph,
     cycle_graph,
+    hub_heavy,
     path_graph,
     star_graph,
     triangle_pair,
@@ -146,16 +147,10 @@ def _lp_reference(g, seed, max_iterations):
     return canonicalize_memberships({v: int(labels[v]) for v in range(n)})
 
 
-def _hub_heavy(n, m, seed):
-    """A G(n, m) with node 0 joined to every other node."""
-    edges = set(erdos_renyi_gnm(n, m, RandomSource(seed, 0)).edges())
-    return build_graph(n, edges | {(0, v) for v in range(1, n)})
-
-
 def test_lp_matches_the_bincount_reference_exactly():
     # graphs full of ties, so the seeded tie-break draws run often
     k33 = build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
-    graphs = [star_graph(9), cycle_graph(12), k33, _hub_heavy(80, 160, 3), build_graph(1, [])]
+    graphs = [star_graph(9), cycle_graph(12), k33, hub_heavy(80, 160, 3), build_graph(1, [])]
     for g in graphs:
         for seed in (0, 1, 7, 42):
             for max_iterations in (1, 2, 100):
@@ -280,7 +275,7 @@ def test_scd_matches_the_wcc_reference_exactly():
         triangle_pair(),
         two_cliques(4),
         star_graph(9),
-        _hub_heavy(80, 160, 3),
+        hub_heavy(80, 160, 3),
         k5_path_k5,
         # its refinement meets tied candidates whose ascending-label order
         # differs from the order their partners are listed in

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -110,6 +111,8 @@ def test_split_is_a_disjoint_cover():
     s = train_test_split(20, ratio=0.7, seed=9)
     joined = np.concatenate([s.train, s.test])
     assert sorted(joined) == list(range(20))
+    # the split holds its two index arrays and does not echo its inputs
+    assert [f.name for f in fields(s)] == ["train", "test"]
 
 
 def test_split_determinism_and_seed_sensitivity():

@@ -231,6 +231,18 @@ def test_corpus_validates_lengths():
         GraphCorpus(graphs=[path_graph(2)], labels=[0, 1])
 
 
+def test_corpus_takes_a_list_or_tuple_of_graphs():
+    for graphs, kind in ((None, "NoneType"), (5, "int"), (path_graph(3), "Graph")):
+        with pytest.raises(InputContractError, match=f"^graphs must be a list or tuple, got {kind}$"):
+            GraphCorpus(graphs=graphs)
+    # the members are checked by fit, not here
+    assert len(GraphCorpus(graphs=["x", None])) == 2
+    graphs = [complete_graph(3), path_graph(4)]
+    listed = SfModel(dimensions=3).fit(GraphCorpus(graphs=graphs)).get_embedding()
+    tupled = SfModel(dimensions=3).fit(GraphCorpus(graphs=tuple(graphs))).get_embedding()
+    assert np.array_equal(listed, tupled)
+
+
 def test_empty_corpus_is_rejected():
     for model in (SfModel(dimensions=2), NetLsdModel(), WlSvdModel(dimensions=2)):
         with pytest.raises(EmptyCorpus):

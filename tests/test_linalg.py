@@ -193,6 +193,57 @@ def test_svd_leaves_the_callers_matrix_unmodified():
     assert np.array_equal(got.singular_values, want.singular_values)
 
 
+def _matrix_the_products_read(a):
+    seen = []
+    product = linalg._product
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_product", lambda m, x: seen.append(m) or product(m, x))
+        randomized_svd(a, 3, RandomSource(0, 0))
+    return seen[0]  # the first product is m @ omega
+
+
+def test_svd_reads_a_sorted_float64_csr_without_a_copy():
+    from scipy import sparse
+
+    gen = RandomSource(9, 0).generator()
+    a = sparse.csr_matrix(gen.standard_normal((14, 11)) * (gen.random((14, 11)) < 0.4))
+    m = _matrix_the_products_read(a)
+    for field in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(m, field), getattr(a, field)), field
+
+
+def test_svd_copies_an_unsorted_an_integer_and_a_coo_input():
+    from scipy import sparse
+
+    gen = RandomSource(10, 0).generator()
+    dense = gen.integers(-3, 4, size=(14, 11)) * (gen.random((14, 11)) < 0.4)
+    ordered = sparse.csr_matrix(dense.astype(np.float64))
+    rows = [slice(ordered.indptr[i], ordered.indptr[i + 1]) for i in range(14)]
+    inputs = {
+        "unsorted": sparse.csr_matrix(
+            (np.concatenate([ordered.data[r][::-1] for r in rows]),
+             np.concatenate([ordered.indices[r][::-1] for r in rows]),
+             ordered.indptr.copy()),
+            shape=(14, 11),
+        ),
+        "int64": sparse.csr_matrix(dense.astype(np.int64)),
+        "coo": sparse.coo_matrix(dense.astype(np.float64)),
+    }
+    want = randomized_svd(ordered, 3, RandomSource(0, 0))
+    for name, a in inputs.items():
+        fields = ("row", "col", "data") if name == "coo" else ("data", "indices", "indptr")
+        before = [getattr(a, f).copy() for f in fields]
+        m = _matrix_the_products_read(a)
+        assert m.dtype == np.float64 and m.has_sorted_indices, name
+        assert not np.shares_memory(m.data, a.data), name
+        for f, values in zip(fields, before):
+            got = getattr(a, f)
+            assert got.dtype == values.dtype and np.array_equal(got, values), (name, f)
+        got = randomized_svd(a, 3, RandomSource(0, 0))
+        assert np.array_equal(got.U, want.U), name
+        assert np.array_equal(got.singular_values, want.singular_values), name
+
+
 def test_svd_rejects_bad_rank():
     a = _sparse_from_dense(np.eye(5))
     with pytest.raises(RankTooLarge):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from graphmine import (
     build_graph,
     erdos_renyi_gnm,
     generate_walks,
+    randomized_svd,
     sgns_pair_gradients,
     sgns_pair_loss,
     sgns_train,
@@ -37,7 +39,8 @@ from graphmine.node_embedding import (
     _stable_sigmoid,
     _window_template,
 )
-from builders import cycle_graph, path_graph, random_connected, star_graph, two_cliques
+from builders import cycle_graph, hub_heavy, path_graph, random_connected, star_graph, two_cliques
+from frozen_netmf import netmf_embedding_by_copies
 from oracles import (
     central_difference,
     gradient_gap,
@@ -535,6 +538,36 @@ def test_netmf_is_deterministic():
     a = NetMfModel(dimensions=4, seed=1).fit(g).get_embedding()
     b = NetMfModel(dimensions=4, seed=1).fit(g).get_embedding()
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("negatives", [1, 5])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_netmf_bytes_match_the_frozen_proximity_copy(order, negatives):
+    # the hub's column holds the smallest entries, so the log-clamp zeroes many
+    for g in (random_connected(256, 1536, 4), hub_heavy(256, 512, 5)):
+        got = NetMfModel(dimensions=16, order=order, negatives=negatives, seed=3).fit(g).get_embedding()
+        want = netmf_embedding_by_copies(g, 16, order, negatives, 3)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_netmf_peak_memory_stays_near_the_matrix_it_factors(monkeypatch):
+    g = random_connected(2048, 12288, 7)
+    NetMfModel().fit(g)  # warm-up: the first fit in a process carries the scipy import
+    handed = []
+
+    def sized(m, k, rng):
+        handed.append(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+        return randomized_svd(m, k, rng)
+
+    monkeypatch.setattr(node_embedding, "randomized_svd", sized)
+    tracemalloc.start()
+    try:
+        NetMfModel().fit(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(handed) == 1
+    assert peak <= 3 * handed[0], f"peak {peak} B against a {handed[0]} B proximity"
 
 
 def test_netmf_enforces_node_cap(monkeypatch):
