@@ -17,7 +17,7 @@ from dataclasses import field
 
 import numpy as np
 
-from .errors import IncompleteMembership, RankTooLarge
+from .errors import IncompleteMembership, InputContractError, RankTooLarge
 from .graph_core import Estimator, Graph, RandomSource, _require_labels, triangle_partners
 
 __all__ = [
@@ -47,6 +47,8 @@ def modularity(g: Graph, memberships: dict) -> float:
     Q = sum over clusters of (intra-edge fraction) - (degree fraction / 2)^2.
     Invariant under any relabeling of cluster ids.
     """
+    if not isinstance(memberships, dict):
+        raise InputContractError(f"memberships must be a dict, got {type(memberships).__name__}")
     n = g.node_count
     if set(memberships.keys()) != set(range(n)):
         raise IncompleteMembership("membership map must cover exactly the nodes 0..n-1")

@@ -40,10 +40,8 @@ if TYPE_CHECKING:
 __all__ = [
     "Estimator",
     "Graph",
-    "ValidationReport",
     "RandomSource",
     "build_graph",
-    "validate_graph",
     "require_connected",
     "erdos_renyi_gnm",
     "transition_matrix",
@@ -162,19 +160,6 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.node_count}, m={self.edge_count})"
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Structural facts about a graph relevant to the model contracts.
-
-    ``is_contiguous`` reports whether every declared id participates in at
-    least one edge; degree-zero ids are counted in ``isolated_node_count``.
-    """
-
-    is_connected: bool
-    is_contiguous: bool
-    isolated_node_count: int
 
 
 # ---------------------------------------------------------------------------
@@ -360,20 +345,6 @@ def _reaches_all(g: Graph) -> bool:
     return len(reached) == g.node_count
 
 
-def validate_graph(g: Graph) -> ValidationReport:
-    """Report connectivity and id-coverage facts about ``g``.
-
-    Connectivity is decided by breadth-first traversal from node 0, the
-    check :func:`require_connected` makes before a fit.
-    """
-    isolated = int(np.count_nonzero(g.degrees == 0))
-    return ValidationReport(
-        is_connected=_reaches_all(g),
-        is_contiguous=(isolated == 0),
-        isolated_node_count=isolated,
-    )
-
-
 def require_connected(g: Graph, name: str = "graph") -> None:
     """Raise :class:`DisconnectedGraph` unless ``g`` is connected.
 
@@ -417,7 +388,7 @@ def erdos_renyi_gnm(
     for k in range(attempts if not connected or m >= n - 1 else 0):
         gen = RandomSource(rng.seed, rng.stream_id + k).generator()
         g = build_graph(n, _distinct_pairs(gen, n, m))
-        if not connected or validate_graph(g).is_connected:
+        if not connected or _reaches_all(g):
             return g
     raise ConnectivityRetryExhausted(
         f"no connected G({n},{m}) found in {attempts} attempts from seed {rng.seed}"

@@ -42,9 +42,10 @@ class GraphCorpus:
     labels: list | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.graphs, (list, tuple)):
-            kind = type(self.graphs).__name__
-            raise InputContractError(f"graphs must be a list or tuple, got {kind}")
+        for name in ("graphs", "features", "labels"):  # features and labels may be None
+            kind = type(getattr(self, name))
+            if not issubclass(kind, (list, tuple) if name == "graphs" else (list, tuple, type(None))):
+                raise InputContractError(f"{name} must be a list or tuple, got {kind.__name__}")
         if self.features is not None and len(self.features) != len(self.graphs):
             raise IncompleteFeatureMap("one feature map (or None) required per graph")
         if self.labels is not None and len(self.labels) != len(self.graphs):
@@ -78,6 +79,8 @@ def wl_features(g: Graph, features: dict | None, iterations: int) -> Counter:
     """
     _require("iterations", iterations, int, 0)
     n = g.node_count
+    if not isinstance(features, (dict, type(None))):
+        raise InputContractError(f"feature map must be a dict, got {type(features).__name__}")
     if features is not None:
         missing = [v for v in range(n) if v not in features]
         if missing:

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     EmptyCorpus,
     GraphTooLarge,
+    InputContractError,
     IsolatedNode,
     NoConvergence,
     OutOfRangeNode,
@@ -42,7 +43,6 @@ from .linalg import randomized_svd
 
 __all__ = [
     "WalkCorpus",
-    "SkipGramParams",
     "DeepWalkModel",
     "WalkletsModel",
     "NetMfModel",
@@ -79,18 +79,6 @@ class WalkCorpus:
     @property
     def walk_length(self) -> int:
         return self.walks.shape[1]
-
-
-@dataclass(frozen=True)
-class SkipGramParams:
-    """Hyperparameters of the skip-gram trainer."""
-
-    dimensions: int = 128
-    window_size: int = 5
-    negative_samples: int = 5
-    epochs: int = 1
-    learning_rate: float = 0.025
-    seed: int = 42
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +265,7 @@ def _scatter_matrix(rows: int, b: int, k: int):
 
 
 def _train_pairs(
-    walks: np.ndarray, n: int, template: tuple[np.ndarray, np.ndarray], params: SkipGramParams
+    walks: np.ndarray, n: int, template: tuple[np.ndarray, np.ndarray], params: _WalkModel
 ) -> np.ndarray:
     """Minibatch SGD over the (center, context) pairs that ``template``
     picks from each walk, in :func:`_pair_blocks` order (a batch never spans
@@ -361,14 +349,16 @@ def _train_pairs(
     return u.copy()
 
 
-_TRAINER_MINIMUMS = {"dimensions": 1, "window_size": 1, "negative_samples": 0, "epochs": 1}
-
-
-def sgns_train(corpus: WalkCorpus, params: SkipGramParams) -> np.ndarray:
+def sgns_train(corpus: WalkCorpus, params: _WalkModel) -> np.ndarray:
     """Skip-gram with negative sampling on all window co-occurrences of
-    ``corpus``; returns the center-vector table, one row per node.  Reads the
-    six :class:`SkipGramParams` fields of ``params``: a walk model passes itself."""
-    Estimator._require_at_least(params, **_TRAINER_MINIMUMS)
+    ``corpus``; returns the center-vector table, one row per node.  ``params``
+    is a walk model (a :class:`DeepWalkModel` or :class:`WalkletsModel`),
+    checked at its minimums; the trainer reads its six skip-gram fields."""
+    if not isinstance(params, _WalkModel):
+        raise InputContractError(
+            f"sgns_train takes a walk model as params, got {type(params).__name__}"
+        )
+    Estimator._require_at_least(params, **params._minimums)
     walks = corpus.walks
     template = _window_template(walks.shape[1], params.window_size)
     return _train_pairs(walks, corpus.node_count, template, params)
@@ -393,7 +383,8 @@ class _WalkModel(Estimator):
     seed: int = 42
 
     # the hyperparameters double as the trainer settings
-    _minimums = {**_TRAINER_MINIMUMS, "walk_number": 1, "walk_length": 2}
+    _minimums = {"walk_number": 1, "walk_length": 2, "dimensions": 1, "window_size": 1,
+                 "negative_samples": 0, "epochs": 1}
     get_embedding = Estimator.getter("embedding")
 
     def _walks(self, g: Graph) -> WalkCorpus:

@@ -16,9 +16,8 @@ from graphmine import (
     RandomSource,
     SelfLoop,
     TooManyEdges,
-    validate_graph,
 )
-from graphmine.graph_core import Graph
+from graphmine.graph_core import Graph, _reaches_all
 
 
 def build_graph_by_edge(n, edges):
@@ -129,7 +128,7 @@ def erdos_renyi_gnm_by_draw(n, m, rng, connected=False):
     for k in range(attempts):
         gen = RandomSource(rng.seed, rng.stream_id + k).generator()
         g = build_graph_by_edge(n, gnm_pairs_by_draw(gen, n, m))
-        if not connected or validate_graph(g).is_connected:
+        if not connected or _reaches_all(g):
             return g
     raise ConnectivityRetryExhausted(
         f"no connected G({n},{m}) found in {attempts} attempts from seed {rng.seed}"

@@ -9,12 +9,12 @@ replay deterministically.
 import numpy as np
 
 from graphmine import (
+    DeepWalkModel,
     LabelPropagationModel,
     NetLsdModel,
     RandomSource,
     ScdModel,
     SfModel,
-    SkipGramParams,
     SymNmfModel,
     WalkCorpus,
     WlSvdModel,
@@ -70,7 +70,7 @@ def embedding_row_contract_suite(cases=200):
         walks = gen.choice(active, size=(int(gen.integers(1, 5)), 6)).astype(np.int64)
         # two epochs: the context table starts at zero, so the very first
         # pass cannot move a center row that only appears in one batch
-        params = SkipGramParams(
+        params = DeepWalkModel(
             dimensions=4, window_size=2, negative_samples=2, epochs=2, seed=case
         )
         trained = sgns_train(WalkCorpus(walks=walks, node_count=n), params)

@@ -85,6 +85,15 @@ def test_labels_must_be_integers_within_int64(taker, bad):
         call(bad)
 
 
+@pytest.mark.parametrize(
+    "memberships, kind", [([0] * 6, "list"), (None, "NoneType"), (np.zeros(6, dtype=int), "ndarray")],
+    ids=["list", "none", "array"],
+)
+def test_modularity_takes_memberships_as_a_dict(memberships, kind):
+    with pytest.raises(InputContractError, match=f"^memberships must be a dict, got {kind}$"):
+        modularity(build_graph(6, [(i, i + 1) for i in range(5)]), memberships)
+
+
 def test_labels_of_every_integer_width_are_taken_and_empty_ones_keep_their_error():
     assert nmi(np.array([0, 1], dtype=np.uint64), np.array([1, 0], dtype=np.int8)) == 1.0
     # three singletons on the path 0-1-2, which truncating 0.5 would have merged

@@ -1,6 +1,5 @@
 import inspect
 import re
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from graphmine import (
     ScdModel,
     SelfLoop,
     SfModel,
-    SkipGramParams,
     SoftmaxModel,
     SymNmfModel,
     TooManyEdges,
@@ -34,13 +32,12 @@ from graphmine import (
     erdos_renyi_gnm,
     generate_walks,
     normalized_laplacian,
-    sgns_train,
+    require_connected,
     softmax_fit,
     train_test_split,
     transition_matrix,
     triangle_partners,
     triangles_per_node,
-    validate_graph,
 )
 from graphmine.node_embedding import _WalkModel
 from builders import complete_graph, path_graph, star_graph, triangle_pair, two_cliques
@@ -107,26 +104,21 @@ def test_degrees_and_adjacency():
 
 # --- validation ---
 
-def test_validate_connected():
-    report = validate_graph(path_graph(6))
-    assert report.is_connected
-    assert report.is_contiguous
-    assert report.isolated_node_count == 0
+def test_require_connected_passes_a_connected_graph():
+    require_connected(path_graph(6))
 
 
-def test_validate_disconnected_and_isolated():
-    g = build_graph(5, [(0, 1), (2, 3)])
-    report = validate_graph(g)
-    assert not report.is_connected
-    assert not report.is_contiguous
-    assert report.isolated_node_count == 1
+def test_require_connected_refuses_a_split_graph_with_an_isolated_node():
+    with pytest.raises(DisconnectedGraph, match="^graph is not connected$"):
+        require_connected(build_graph(5, [(0, 1), (2, 3)]))
 
 
-def test_validate_reaches_the_far_end_of_a_long_path():
-    assert validate_graph(path_graph(5000)).is_connected
+def test_require_connected_reaches_the_far_end_of_a_long_path():
+    require_connected(path_graph(5000))
     split = build_graph(5000, [(i, i + 1) for i in range(4999) if i != 4997])
-    assert not validate_graph(split).is_connected
-    assert validate_graph(build_graph(1, [])).is_connected
+    with pytest.raises(DisconnectedGraph, match="^graph is not connected$"):
+        require_connected(split)
+    require_connected(build_graph(1, []))
 
 
 # --- random source ---
@@ -178,7 +170,7 @@ def test_gnm_is_deterministic():
 def test_gnm_connected_flag_retries_until_connected():
     for seed in range(10):
         g = erdos_renyi_gnm(10, 10, RandomSource(seed, 0), connected=True)
-        assert validate_graph(g).is_connected
+        require_connected(g)
 
 
 def test_gnm_connected_impossible_raises():
@@ -499,19 +491,16 @@ def _fit_with(holder):
     """Run what checks ``holder``'s hyperparameters: its fit, or the function it configures."""
     if isinstance(holder, SoftmaxModel):
         return softmax_fit(np.eye(4), [0, 1, 0, 1], holder)
-    if isinstance(holder, SkipGramParams):
-        return sgns_train(generate_walks(path_graph(4), 1, 5, RandomSource(0, 0)), holder)
     if isinstance(holder, (SfModel, NetLsdModel, WlSvdModel)):
         return holder.fit(GraphCorpus(graphs=[two_cliques(4), path_graph(5)]))
     return holder.fit(two_cliques(4))
 
 
-# every float field of the nine estimators, the trainer settings and the
-# classifier, with nan, inf and -1.0, and 0.0 for a learning rate
+# every float field of the nine estimators and the classifier, with nan,
+# inf and -1.0, and 0.0 for a learning rate
 _FLOAT_CASES = [
     (cls, name, bad)
-    for cls, params in [*_SIGNATURES.items(),
-                        (SkipGramParams, [(f.name, f.default) for f in fields(SkipGramParams)])]
+    for cls, params in _SIGNATURES.items()
     for name, default in params if type(default) is float
     for bad in [float("nan"), float("inf"), -1.0] + ([0.0] if name == "learning_rate" else [])
 ]

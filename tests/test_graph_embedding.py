@@ -113,6 +113,19 @@ def test_wl_rejects_incomplete_feature_map():
         wl_features(path_graph(3), {0: "a", 2: "b"}, 1)
 
 
+@pytest.mark.parametrize(
+    "features, kind", [("abc", "str"), (["a", "b", "c"], "list"), (5, "int")],
+    ids=["str", "list", "int"],
+)
+def test_wl_feature_map_must_be_a_dict(features, kind):
+    with pytest.raises(InputContractError, match=f"^feature map must be a dict, got {kind}$"):
+        wl_features(path_graph(3), features, 1)
+    # a corpus holding such a map is refused the same way by WL-SVD
+    corpus = GraphCorpus(graphs=[path_graph(3)], features=[features])
+    with pytest.raises(InputContractError, match=f"^feature map must be a dict, got {kind}$"):
+        WlSvdModel().fit(corpus)
+
+
 # --- spectral fingerprint ---
 
 def test_sf_single_edge_eigenvalues_padded():
@@ -241,6 +254,18 @@ def test_corpus_takes_a_list_or_tuple_of_graphs():
     listed = SfModel(dimensions=3).fit(GraphCorpus(graphs=graphs)).get_embedding()
     tupled = SfModel(dimensions=3).fit(GraphCorpus(graphs=tuple(graphs))).get_embedding()
     assert np.array_equal(listed, tupled)
+
+
+@pytest.mark.parametrize("name", ["features", "labels"])
+@pytest.mark.parametrize("value, kind", [(5, "int"), ("ab", "str"), ({0: 0}, "dict")],
+                         ids=["int", "str", "dict"])
+def test_corpus_takes_a_list_or_tuple_or_none_of_features_and_labels(name, value, kind):
+    graphs = [path_graph(2), path_graph(3)]
+    with pytest.raises(InputContractError, match=f"^{name} must be a list or tuple, got {kind}$"):
+        GraphCorpus(graphs=graphs, **{name: value})
+    ok = [None, None] if name == "features" else [0, 1]
+    for given in (None, ok, tuple(ok)):
+        assert len(GraphCorpus(graphs=graphs, **{name: given})) == 2
 
 
 def test_empty_corpus_is_rejected():

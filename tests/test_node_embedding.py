@@ -19,7 +19,6 @@ from graphmine import (
     OutOfRangeNode,
     RandomSource,
     RankTooLarge,
-    SkipGramParams,
     WalkCorpus,
     WalkletsModel,
     build_graph,
@@ -185,7 +184,7 @@ def test_trainer_touches_exactly_the_corpus_nodes():
     corpus keep their seeded initial values."""
     n, d = 12, 4
     walks = np.array([[2, 5, 2, 7], [7, 2, 5, 5]], dtype=np.int64)
-    params = SkipGramParams(dimensions=d, window_size=2, negative_samples=2, seed=9)
+    params = DeepWalkModel(dimensions=d, window_size=2, negative_samples=2, seed=9)
     trained = sgns_train(WalkCorpus(walks=walks, node_count=n), params)
     init = (RandomSource(9, 0).generator().random((n, d)) - 0.5) / d
     untouched = sorted(set(range(n)) - {2, 5, 7})
@@ -197,17 +196,17 @@ def test_trainer_touches_exactly_the_corpus_nodes():
 def test_trainer_is_deterministic():
     g = erdos_renyi_gnm(10, 20, RandomSource(1, 0), connected=True)
     corpus = generate_walks(g, 2, 10, RandomSource(2, 0))
-    params = SkipGramParams(dimensions=8, window_size=3, negative_samples=3, seed=4)
+    params = DeepWalkModel(dimensions=8, window_size=3, negative_samples=3, seed=4)
     assert np.array_equal(sgns_train(corpus, params), sgns_train(corpus, params))
 
 
 def test_trainer_rejects_empty_corpora():
     empty = WalkCorpus(walks=np.empty((0, 5), dtype=np.int64), node_count=4)
     with pytest.raises(EmptyCorpus):
-        sgns_train(empty, SkipGramParams())
+        sgns_train(empty, DeepWalkModel())
     starts_only = WalkCorpus(walks=np.zeros((3, 1), dtype=np.int64), node_count=4)
     with pytest.raises(EmptyCorpus):
-        sgns_train(starts_only, SkipGramParams())
+        sgns_train(starts_only, DeepWalkModel())
 
 
 @pytest.mark.parametrize(
@@ -219,16 +218,30 @@ def test_trainer_rejects_empty_corpora():
         ({"epochs": 0}, "epochs must be >= 1, got 0"),
         ({"learning_rate": 0.0}, "learning_rate must be a positive finite number, got 0.0"),
         ({"learning_rate": float("inf")}, "learning_rate must be a positive finite number, got inf"),
+        ({"learning_rate": float("nan")}, "learning_rate must be a positive finite number, got nan"),
+        ({"learning_rate": -1.0}, "learning_rate must be a positive finite number, got -1.0"),
         ({"dimensions": 2.0}, "dimensions must be an integer, got 2.0"),
     ],
-    ids=["dimensions", "window", "negatives", "epochs", "rate-zero", "rate-inf", "dimensions-float"],
+    ids=["dimensions", "window", "negatives", "epochs", "rate-zero", "rate-inf", "rate-nan",
+         "rate-negative", "dimensions-float"],
 )
 def test_trainer_checks_its_settings_as_the_walk_models_do(change, message):
     corpus = generate_walks(cycle_graph(6), 1, 5, RandomSource(1, 0))
     with pytest.raises(InputContractError, match=f"^{message}$"):
-        sgns_train(corpus, replace(SkipGramParams(dimensions=4), **change))
+        sgns_train(corpus, replace(DeepWalkModel(dimensions=4), **change))
     with pytest.raises(InputContractError, match=f"^{message}$"):
         DeepWalkModel(walk_number=1, walk_length=5, **{"dimensions": 4, **change}).fit(cycle_graph(6))
+
+
+@pytest.mark.parametrize(
+    "params, name",
+    [(None, "NoneType"), ({"dimensions": 4}, "dict"), (NetMfModel(), "NetMfModel")],
+    ids=["none", "dict", "netmf"],
+)
+def test_trainer_takes_only_a_walk_model_as_its_settings(params, name):
+    corpus = generate_walks(cycle_graph(6), 1, 5, RandomSource(1, 0))
+    with pytest.raises(InputContractError, match=f"^sgns_train takes a walk model as params, got {name}$"):
+        sgns_train(corpus, params)
 
 
 def test_window_template_lists_every_pair_within_the_window():
@@ -244,7 +257,7 @@ def test_trainer_rejects_walk_ids_out_of_range():
     for bad in (-1, 5):
         walks = np.array([[0, 1, 2], [2, bad, 1]], dtype=np.int64)
         with pytest.raises(OutOfRangeNode, match=f"walk node {bad} not in 0..2"):
-            sgns_train(WalkCorpus(walks=walks, node_count=3), SkipGramParams(dimensions=4))
+            sgns_train(WalkCorpus(walks=walks, node_count=3), DeepWalkModel(dimensions=4))
 
 
 def test_trainer_stays_bounded_on_a_hub_graph():
@@ -253,7 +266,7 @@ def test_trainer_stays_bounded_on_a_hub_graph():
 
     g = star_graph(40)
     corpus = generate_walks(g, 3, 20, RandomSource(0, 0))
-    emb = sgns_train(corpus, SkipGramParams(dimensions=8, window_size=3, seed=1))
+    emb = sgns_train(corpus, DeepWalkModel(dimensions=8, window_size=3, seed=1))
     assert np.all(np.isfinite(emb))
     assert np.max(np.abs(emb)) < 100.0
 
@@ -369,7 +382,7 @@ def _reference_train_pairs(blocks_factory, n, params, total_pairs):
 
 
 _PIN_CASES = {
-    # (graph, walk_number, walk_length, SkipGramParams fields, batch check)
+    # (graph, walk_number, walk_length, trainer fields, batch check)
     "near-regular-at-cap": (
         cycle_graph(1200), 1, 10, dict(window_size=2), lambda b: b == 1024,
     ),
@@ -402,7 +415,7 @@ _PIN_CASES = {
 @pytest.mark.parametrize("case", sorted(_PIN_CASES))
 def test_trainer_bytes_match_the_reference_loop(case):
     g, walk_number, walk_length, fields, batch_ok = _PIN_CASES[case]
-    params = SkipGramParams(dimensions=8, seed=17, **fields)
+    params = DeepWalkModel(dimensions=8, seed=17, **fields)
     walks = generate_walks(g, walk_number, walk_length, RandomSource(params.seed, 0)).walks
     n = g.node_count
 
