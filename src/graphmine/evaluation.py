@@ -16,6 +16,7 @@ from .errors import (
     DegenerateSplit,
     DimensionMismatch,
     LengthMismatch,
+    NotFitted,
     SingleClassTest,
 )
 from .graph_core import Estimator, RandomSource, _require, _require_labels
@@ -104,7 +105,6 @@ class SoftmaxModel:
     learning_rate: float = 0.1
     epochs: int = 500
     weights: np.ndarray | None = field(default=None, init=False)  # (d+1) x c, bias first row
-    classes: int | None = field(default=None, init=False)
     loss_history_: list | None = field(default=None, init=False)
 
 
@@ -169,7 +169,6 @@ def softmax_fit(x: np.ndarray, y, model: SoftmaxModel | None = None) -> SoftmaxM
         weights, loss, grad = proposal, new_loss, new_grad
         losses.append(loss)
     model.weights = weights
-    model.classes = c
     model.loss_history_ = losses
     return model
 
@@ -177,7 +176,7 @@ def softmax_fit(x: np.ndarray, y, model: SoftmaxModel | None = None) -> SoftmaxM
 def softmax_predict(model: SoftmaxModel, x: np.ndarray) -> np.ndarray:
     """Per-row class probabilities; rows sum to 1."""
     if model.weights is None:
-        raise DimensionMismatch("model has no weights; call softmax_fit first")
+        raise NotFitted("call softmax_fit before softmax_predict")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] + 1 != model.weights.shape[0]:
         raise DimensionMismatch(

@@ -47,7 +47,6 @@ __all__ = [
     "transition_matrix",
     "normalized_laplacian",
     "triangle_partners",
-    "triangles_per_node",
 ]
 
 
@@ -141,9 +140,6 @@ class Graph:
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
-
-    def degree(self, v: int) -> int:
-        return int(self.offsets[v + 1] - self.offsets[v])
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
@@ -468,8 +464,3 @@ def triangle_partners(nbrs: list[list[int]]) -> tuple[list[list[int]], list[int]
                     counts[v] += shared
                     counts[u] += shared
     return partners, [c // 2 for c in counts]
-
-
-def triangles_per_node(g: Graph) -> list[int]:
-    """Number of triangles incident to each node."""
-    return triangle_partners(g.neighbor_lists())[1]

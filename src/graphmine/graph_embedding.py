@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCorpus, GraphTooLarge, IncompleteFeatureMap, InputContractError
+from .errors import GraphTooLarge, IncompleteFeatureMap, InputContractError, LengthMismatch
 from .graph_core import Estimator, Graph, RandomSource, _require, _sparse, normalized_laplacian
 from .linalg import DENSE_SIZE_CAP, eigvals_symmetric, randomized_svd
 
@@ -49,7 +49,7 @@ class GraphCorpus:
         if self.features is not None and len(self.features) != len(self.graphs):
             raise IncompleteFeatureMap("one feature map (or None) required per graph")
         if self.labels is not None and len(self.labels) != len(self.graphs):
-            raise EmptyCorpus("labels, when given, must match the corpus length")
+            raise LengthMismatch("labels, when given, must match the corpus length")
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -184,7 +184,7 @@ class WlSvdModel(Estimator):
         weighted = tf.multiply(idf[None, :]).tocsr()
 
         k = min(self.dimensions, n_graphs, len(vocabulary))
-        svd = randomized_svd(weighted, k, RandomSource(self.seed, 0))
+        u, s = randomized_svd(weighted, k, RandomSource(self.seed, 0))
         embedding = np.zeros((n_graphs, self.dimensions))
-        embedding[:, :k] = svd.U * svd.singular_values
+        embedding[:, :k] = u * s
         self._embedding = embedding

@@ -15,7 +15,6 @@ counts they may differ in the last bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,7 +27,6 @@ if TYPE_CHECKING:
     from scipy import sparse as _sp
 
 __all__ = [
-    "SvdResult",
     "eigvals_symmetric",
     "randomized_svd",
     "DENSE_SIZE_CAP",
@@ -41,14 +39,6 @@ _SYMMETRY_TOL = 1e-10
 # Bytes of one column block of a sparse product's dense operand: 1.5 MB, so
 # the block stays in a 2 MB L2 cache while the sparse rows stream past it.
 _BLOCK_BYTES = 3 << 19
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """U and s, descending, of a truncated factorization A ~ U diag(s) V^T."""
-
-    U: np.ndarray
-    singular_values: np.ndarray
 
 
 def _check_square_symmetric(a: np.ndarray) -> np.ndarray:
@@ -121,8 +111,8 @@ def _product(m: _sp.spmatrix, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def randomized_svd(a: _sp.spmatrix, k: int, rng: RandomSource) -> SvdResult:
-    """Truncated SVD of a scipy sparse matrix via a Gaussian sketch.
+def randomized_svd(a: _sp.spmatrix, k: int, rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
+    """``(U, s)``, s descending, of a scipy sparse matrix's truncated SVD via a Gaussian sketch.
 
     Oversampling 10 and 4 power iterations (with QR re-orthonormalization
     each step) are fixed.  The small projected Gram matrix is diagonalized by
@@ -155,4 +145,4 @@ def randomized_svd(a: _sp.spmatrix, k: int, rng: RandomSource) -> SvdResult:
     flip = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
     flip[flip == 0.0] = 1.0
     u *= flip
-    return SvdResult(U=u, singular_values=sigma)
+    return u, sigma

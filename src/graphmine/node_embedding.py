@@ -76,10 +76,6 @@ class WalkCorpus:
     walks: np.ndarray
     node_count: int
 
-    @property
-    def walk_length(self) -> int:
-        return self.walks.shape[1]
-
 
 # ---------------------------------------------------------------------------
 # walk generation
@@ -469,5 +465,5 @@ class NetMfModel(Estimator):
         np.log(np.maximum(m.data, 1.0, out=m.data), out=m.data)
         m.eliminate_zeros()
         m.sort_indices()  # so that randomized_svd reads m without a copy
-        svd = randomized_svd(m, self.dimensions, RandomSource(self.seed, 0))
-        self._embedding = svd.U * np.sqrt(svd.singular_values)
+        u, s = randomized_svd(m, self.dimensions, RandomSource(self.seed, 0))
+        self._embedding = u * np.sqrt(s)

@@ -9,7 +9,7 @@ input.
 import numpy as np
 
 from graphmine import RankTooLarge
-from graphmine.linalg import SvdResult, _eigh
+from graphmine.linalg import _eigh
 
 
 def randomized_svd_by_numpy_qr(a, k, rng):
@@ -46,4 +46,4 @@ def randomized_svd_by_numpy_qr(a, k, rng):
     flip[flip == 0.0] = 1.0
     u *= flip
     v *= flip
-    return SvdResult(U=u, singular_values=sigma)
+    return u, sigma

@@ -29,5 +29,5 @@ def netmf_embedding_by_copies(g, dimensions, order, negatives, seed):
     m = (vol / (negatives * order)) * (acc @ d_inv)
     m.data = np.log(np.maximum(m.data, 1.0))
     m.eliminate_zeros()
-    svd = randomized_svd_by_numpy_qr(m, dimensions, RandomSource(seed, 0))
-    return svd.U * np.sqrt(svd.singular_values)
+    u, s = randomized_svd_by_numpy_qr(m, dimensions, RandomSource(seed, 0))
+    return u * np.sqrt(s)

@@ -10,6 +10,7 @@ from graphmine import (
     DimensionMismatch,
     InputContractError,
     LengthMismatch,
+    NotFitted,
     RandomSource,
     SingleClassTest,
     SoftmaxModel,
@@ -188,7 +189,7 @@ def test_softmax_fit_separable_data():
     model = softmax_fit(x, y)
     predicted = softmax_predict(model, x).argmax(axis=1)
     assert np.array_equal(predicted, y)
-    assert model.classes == 2
+    assert model.weights.shape[1] == 2
 
 
 def test_softmax_loss_history_never_increases():
@@ -222,7 +223,7 @@ def test_softmax_rejects_bad_labels_and_shapes():
         softmax_fit(x, [0, 1, 1])
     with pytest.raises(DimensionMismatch):
         softmax_fit(np.zeros((0, 2)), [])
-    with pytest.raises(DimensionMismatch, match="^model has no weights; call softmax_fit first$"):
+    with pytest.raises(NotFitted, match="^call softmax_fit before softmax_predict$"):
         softmax_predict(SoftmaxModel(), x)
     model = softmax_fit(np.random.default_rng(0).standard_normal((6, 2)), [0, 1, 0, 1, 0, 1])
     with pytest.raises(DimensionMismatch):

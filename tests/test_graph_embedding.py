@@ -15,6 +15,7 @@ from graphmine import (
     IncompleteFeatureMap,
     InputContractError,
     IsolatedNode,
+    LengthMismatch,
     NetLsdModel,
     NotFitted,
     SfModel,
@@ -240,7 +241,7 @@ def test_wl_svd_is_deterministic():
 def test_corpus_validates_lengths():
     with pytest.raises(IncompleteFeatureMap):
         GraphCorpus(graphs=[path_graph(2)], features=[])
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(LengthMismatch, match="^labels, when given, must match the corpus length$"):
         GraphCorpus(graphs=[path_graph(2)], labels=[0, 1])
 
 

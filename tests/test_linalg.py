@@ -111,10 +111,10 @@ def test_svd_rank_one_is_exact():
     u = gen.standard_normal(30)
     v = gen.standard_normal(20)
     a = _sparse_from_dense(np.outer(u, v))
-    res = randomized_svd(a, 3, RandomSource(1, 0))
+    _, s = randomized_svd(a, 3, RandomSource(1, 0))
     top = np.linalg.norm(u) * np.linalg.norm(v)
-    assert abs(res.singular_values[0] - top) < 1e-9 * top
-    assert np.all(res.singular_values[1:] < 1e-9 * top)
+    assert abs(s[0] - top) < 1e-9 * top
+    assert np.all(s[1:] < 1e-9 * top)
 
 
 def test_svd_matches_reference_when_sketch_covers_the_space():
@@ -122,9 +122,9 @@ def test_svd_matches_reference_when_sketch_covers_the_space():
     for seed in range(5):
         gen = RandomSource(seed, 0).generator()
         dense = gen.standard_normal((25, 9))
-        res = randomized_svd(_sparse_from_dense(dense), 6, RandomSource(9, 0))
+        _, s = randomized_svd(_sparse_from_dense(dense), 6, RandomSource(9, 0))
         expected = np.linalg.svd(dense, compute_uv=False)[:6]
-        assert np.max(np.abs(res.singular_values - expected)) < 1e-8
+        assert np.max(np.abs(s - expected)) < 1e-8
 
 
 def test_svd_recovers_exact_low_rank():
@@ -132,42 +132,51 @@ def test_svd_recovers_exact_low_rank():
     q1, _ = np.linalg.qr(gen.standard_normal((40, 3)))
     q2, _ = np.linalg.qr(gen.standard_normal((25, 3)))
     dense = q1 @ np.diag([5.0, 3.0, 1.0]) @ q2.T
-    res = randomized_svd(_sparse_from_dense(dense), 3, RandomSource(2, 0))
-    assert np.allclose(res.singular_values, [5.0, 3.0, 1.0], atol=1e-9)
-    rebuilt = res.U @ (res.U.T @ dense)
+    u, s = randomized_svd(_sparse_from_dense(dense), 3, RandomSource(2, 0))
+    assert np.allclose(s, [5.0, 3.0, 1.0], atol=1e-9)
+    rebuilt = u @ (u.T @ dense)
     assert np.max(np.abs(rebuilt - dense)) < 1e-9
 
 
 def test_svd_factors_are_orthonormal():
     gen = RandomSource(8, 0).generator()
     dense = gen.standard_normal((30, 12))
-    res = randomized_svd(_sparse_from_dense(dense), 5, RandomSource(4, 0))
-    assert np.allclose(res.U.T @ res.U, np.eye(5), atol=1e-10)
+    u, _ = randomized_svd(_sparse_from_dense(dense), 5, RandomSource(4, 0))
+    assert np.allclose(u.T @ u, np.eye(5), atol=1e-10)
+
+
+def test_svd_returns_u_and_descending_s_as_a_pair():
+    dense = RandomSource(13, 0).generator().standard_normal((18, 11))
+    res = randomized_svd(_sparse_from_dense(dense), 4, RandomSource(0, 0))
+    assert type(res) is tuple and len(res) == 2
+    u, s = res
+    assert u.shape == (18, 4) and s.shape == (4,)
+    assert np.all(np.diff(s) <= 0)
 
 
 def test_svd_identity_singular_values():
-    res = randomized_svd(_sparse_from_dense(np.eye(8)), 8, RandomSource(0, 0))
-    assert np.allclose(res.singular_values, 1.0, atol=1e-10)
+    _, s = randomized_svd(_sparse_from_dense(np.eye(8)), 8, RandomSource(0, 0))
+    assert np.allclose(s, 1.0, atol=1e-10)
 
 
 def test_svd_is_deterministic_and_seed_sensitive():
     gen = RandomSource(6, 0).generator()
     dense = gen.standard_normal((20, 20))
     a = _sparse_from_dense(dense)
-    r1 = randomized_svd(a, 4, RandomSource(3, 1))
-    r2 = randomized_svd(a, 4, RandomSource(3, 1))
-    assert np.array_equal(r1.U, r2.U)
-    assert np.array_equal(r1.singular_values, r2.singular_values)
-    r3 = randomized_svd(a, 4, RandomSource(4, 1))
-    assert np.allclose(r1.singular_values, r3.singular_values, atol=1e-8)
+    u1, s1 = randomized_svd(a, 4, RandomSource(3, 1))
+    u2, s2 = randomized_svd(a, 4, RandomSource(3, 1))
+    assert np.array_equal(u1, u2)
+    assert np.array_equal(s1, s2)
+    _, s3 = randomized_svd(a, 4, RandomSource(4, 1))
+    assert np.allclose(s1, s3, atol=1e-8)
 
 
 def test_svd_sign_convention():
     gen = RandomSource(12, 0).generator()
     dense = gen.standard_normal((15, 10))
-    res = randomized_svd(_sparse_from_dense(dense), 4, RandomSource(1, 0))
-    peak = np.argmax(np.abs(res.U), axis=0)
-    assert np.all(res.U[peak, np.arange(4)] > 0)
+    u, _ = randomized_svd(_sparse_from_dense(dense), 4, RandomSource(1, 0))
+    peak = np.argmax(np.abs(u), axis=0)
+    assert np.all(u[peak, np.arange(4)] > 0)
 
 
 def test_svd_leaves_the_callers_matrix_unmodified():
@@ -185,12 +194,12 @@ def test_svd_leaves_the_callers_matrix_unmodified():
         shape=(12, 15),
     )
     indices, data = shuffled.indices.copy(), shuffled.data.copy()
-    got = randomized_svd(shuffled, 4, RandomSource(2, 0))
+    got_u, got_s = randomized_svd(shuffled, 4, RandomSource(2, 0))
     assert np.array_equal(shuffled.indices, indices)
     assert np.array_equal(shuffled.data, data)
-    want = randomized_svd(ordered, 4, RandomSource(2, 0))
-    assert np.array_equal(got.U, want.U)
-    assert np.array_equal(got.singular_values, want.singular_values)
+    want_u, want_s = randomized_svd(ordered, 4, RandomSource(2, 0))
+    assert np.array_equal(got_u, want_u)
+    assert np.array_equal(got_s, want_s)
 
 
 def _matrix_the_products_read(a):
@@ -229,7 +238,7 @@ def test_svd_copies_an_unsorted_an_integer_and_a_coo_input():
         "int64": sparse.csr_matrix(dense.astype(np.int64)),
         "coo": sparse.coo_matrix(dense.astype(np.float64)),
     }
-    want = randomized_svd(ordered, 3, RandomSource(0, 0))
+    want_u, want_s = randomized_svd(ordered, 3, RandomSource(0, 0))
     for name, a in inputs.items():
         fields = ("row", "col", "data") if name == "coo" else ("data", "indices", "indptr")
         before = [getattr(a, f).copy() for f in fields]
@@ -239,9 +248,9 @@ def test_svd_copies_an_unsorted_an_integer_and_a_coo_input():
         for f, values in zip(fields, before):
             got = getattr(a, f)
             assert got.dtype == values.dtype and np.array_equal(got, values), (name, f)
-        got = randomized_svd(a, 3, RandomSource(0, 0))
-        assert np.array_equal(got.U, want.U), name
-        assert np.array_equal(got.singular_values, want.singular_values), name
+        got_u, got_s = randomized_svd(a, 3, RandomSource(0, 0))
+        assert np.array_equal(got_u, want_u), name
+        assert np.array_equal(got_s, want_s), name
 
 
 def test_svd_rejects_bad_rank():
@@ -257,8 +266,7 @@ def test_svd_rejects_bad_rank():
 def _assert_same_svd(a, k, seed):
     got = randomized_svd(a, k, RandomSource(seed, 0))
     want = randomized_svd_by_numpy_qr(a, k, RandomSource(seed, 0))
-    for field in ("U", "singular_values"):
-        g, w = getattr(got, field), getattr(want, field)
+    for field, g, w in zip(("U", "s"), got, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes(), field
 
 

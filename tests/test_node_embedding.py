@@ -60,7 +60,6 @@ def test_walks_have_expected_shape_and_starts():
     corpus = generate_walks(g, walk_number=4, walk_length=12, rng=RandomSource(1, 0))
     assert corpus.walks.shape == (36, 12)
     assert corpus.node_count == 9
-    assert corpus.walk_length == 12
     assert np.array_equal(corpus.walks[:, 0], np.tile(np.arange(9), 4))
 
 
