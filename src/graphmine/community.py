@@ -228,7 +228,7 @@ class SymNmfModel(Estimator):
     seed: int = 42
     loss_history_: list | None = field(default=None, init=False)
 
-    _minimums = {"iterations": 1}
+    _minimums = {"dimensions": 1, "iterations": 1}
     get_embedding = Estimator.getter("embedding")
     get_memberships = Estimator.getter("memberships")
 
@@ -236,7 +236,7 @@ class SymNmfModel(Estimator):
         """Fit H >= 0 minimizing ||A - H H^T||_F^2."""
         n = data.node_count
         k = self.dimensions
-        if k < 1 or k > n:
+        if k > n:
             raise RankTooLarge(f"dimensions {k} not in 1..{n}")
         a = data.adjacency_scipy()
         gen = RandomSource(self.seed, 0).generator()

@@ -72,7 +72,7 @@ class ConnectivityRetryExhausted(GraphContractError):
 
 
 class IsolatedNode(GraphContractError):
-    """A degree-zero node blocks a matrix that divides by degrees."""
+    """A degree-zero node blocks a walk step or a matrix that divides by degrees."""
 
 
 class DisconnectedGraph(GraphContractError):
@@ -136,4 +136,4 @@ class DimensionMismatch(InputContractError):
 
 
 class SingleClassTest(InputContractError):
-    """AUC needs at least one positive and one negative in the test labels."""
+    """A classifier or AUC needs at least two classes in its labels."""

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     DegenerateSplit,
     DimensionMismatch,
+    InputContractError,
     LengthMismatch,
     NotFitted,
     SingleClassTest,
@@ -107,6 +108,8 @@ class SoftmaxModel:
     weights: np.ndarray | None = field(default=None, init=False)  # (d+1) x c, bias first row
     loss_history_: list | None = field(default=None, init=False)
 
+    _minimums = {"epochs": 0}
+
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
@@ -143,18 +146,18 @@ def softmax_fit(x: np.ndarray, y, model: SoftmaxModel | None = None) -> SoftmaxM
     """
     if model is None:
         model = SoftmaxModel()
-    Estimator._require_at_least(model, epochs=0)
+    Estimator._require_at_least(model)
     x = np.asarray(x, dtype=np.float64)
     y = _require_labels("y", y)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
+    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
         raise DimensionMismatch(
             f"x rows must pair with y entries, got {x.shape} vs {y.shape}"
         )
-    if y.min(initial=0) < 0:
-        raise DimensionMismatch("labels must be nonnegative")
-    c = int(y.max(initial=-1)) + 1  # no rows, no classes
+    if y.min() < 0:
+        raise InputContractError("labels must be nonnegative")
+    c = int(y.max()) + 1
     if c < 2:
-        raise DimensionMismatch("need at least two classes to fit")
+        raise SingleClassTest("need at least two classes to fit")
     xb = _with_bias(x)
     weights = np.zeros((xb.shape[1], c))
     lr = model.learning_rate

@@ -187,7 +187,7 @@ class Estimator:
         dataclass(eq=False, repr=False)(cls)
         if "_fit" in vars(cls):
             def fit(self, data):
-                self._require_at_least(**self._minimums)
+                self._require_at_least()
                 if not isinstance(data, self._input):
                     raise InputContractError(f"{type(self).__name__}.fit takes a "
                                              f"{self._input.__name__}, got {type(data).__name__}")
@@ -211,10 +211,10 @@ class Estimator:
         get.__name__ = get.__qualname__ = f"get_{result}"
         return get
 
-    def _require_at_least(self, **minimums) -> None:
+    def _require_at_least(self) -> None:
         """:func:`_require` each field, in order, by its default's type, at its minimum if named."""
         for f in fields(self):
-            _require(f.name, getattr(self, f.name), type(f.default), minimums.get(f.name))
+            _require(f.name, getattr(self, f.name), type(f.default), self._minimums.get(f.name))
 
 
 def _require(name: str, value, kind: type, low: int | None = None) -> None:

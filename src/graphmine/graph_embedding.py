@@ -46,10 +46,8 @@ class GraphCorpus:
             kind = type(getattr(self, name))
             if not issubclass(kind, (list, tuple) if name == "graphs" else (list, tuple, type(None))):
                 raise InputContractError(f"{name} must be a list or tuple, got {kind.__name__}")
-        if self.features is not None and len(self.features) != len(self.graphs):
-            raise IncompleteFeatureMap("one feature map (or None) required per graph")
-        if self.labels is not None and len(self.labels) != len(self.graphs):
-            raise LengthMismatch("labels, when given, must match the corpus length")
+            if kind is not type(None) and len(getattr(self, name)) != len(self.graphs):
+                raise LengthMismatch(f"{name}, when given, must match the corpus length")
 
     def __len__(self) -> int:
         return len(self.graphs)

@@ -71,10 +71,10 @@ class _JsonObject(dict):
         self.pairs = pairs
 
 
-def _json_int(value) -> int:
-    """``value`` if it is a JSON integer; floats, booleans and strings raise."""
-    if type(value) is not int:
-        raise TypeError(f"not an integer: {value!r}")
+def _json_as(kind: type, value):
+    """``value`` if its type is exactly ``kind``: ``int`` refuses floats, booleans and strings."""
+    if type(value) is not kind:
+        raise TypeError(f"not {kind.__name__}: {value!r}")
     return value
 
 
@@ -178,7 +178,7 @@ def read_membership(path: str) -> dict:
     memberships = {}
     for i, (k, v) in enumerate(raw.pairs):
         try:
-            node, cluster = int(k), _json_int(v)
+            node, cluster = int(k), _json_as(int, v)
         except (TypeError, ValueError):
             problem = f"expected an integer node id and cluster id, got {k!r}: {v!r}"
         else:
@@ -279,7 +279,7 @@ def read_corpus_jsonl(path: str) -> GraphCorpus:
         if not isinstance(edges, list) or not edges:
             raise InputContractError(f"{path}:{lineno}: 'edges' must be a non-empty list")
         try:
-            pairs = [(_json_int(u), _json_int(v)) for u, v in edges]
+            pairs = [(_json_as(int, u), _json_as(int, v)) for u, v in edges]
         except (TypeError, ValueError):
             raise InputContractError(f"{path}:{lineno}: malformed edge pair")
         n = 1 + max(max(u, v) for u, v in pairs)
@@ -290,8 +290,8 @@ def read_corpus_jsonl(path: str) -> GraphCorpus:
         fmap = obj.get("features")
         if fmap is not None:
             try:
-                pairs = [(int(k), str(v)) for k, v in fmap.pairs]
-            except (AttributeError, ValueError):
+                pairs = [(int(k), _json_as(str, v)) for k, v in fmap.pairs]
+            except (AttributeError, TypeError, ValueError):
                 raise InputContractError(
                     f"{path}:{lineno}: 'features' must map integer node ids to strings"
                 )
@@ -302,7 +302,7 @@ def read_corpus_jsonl(path: str) -> GraphCorpus:
         label = obj.get("label")
         if label is not None:
             try:
-                label = _json_int(label)
+                label = _json_as(int, label)
             except TypeError:
                 raise InputContractError(f"{path}:{lineno}: 'label' must be an integer")
         labels.append(label)

@@ -25,7 +25,6 @@ from .errors import (
     EmptyCorpus,
     GraphTooLarge,
     InputContractError,
-    IsolatedNode,
     NoConvergence,
     OutOfRangeNode,
     RankTooLarge,
@@ -35,8 +34,8 @@ from .graph_core import (
     Graph,
     RandomSource,
     _require,
+    _require_no_isolated,
     _sparse,
-    require_connected,
     transition_matrix,
 )
 from .linalg import randomized_svd
@@ -85,7 +84,8 @@ def generate_walks(
     g: Graph, walk_number: int, walk_length: int, rng: RandomSource
 ) -> WalkCorpus:
     """``walk_number`` uniform random walks of ``walk_length`` nodes from
-    every node; :class:`InputContractError` unless both are integers >= 1.
+    every node; :class:`InputContractError` unless both are integers >= 1,
+    and :class:`IsolatedNode` for a node that has no step to take.
 
     Walk w starts at node ``w % n`` and consumes only ``rng.child(w)``, so
     any execution order (or parallel fan-out) reproduces the same corpus.
@@ -93,10 +93,7 @@ def generate_walks(
     """
     _require("walk_number", walk_number, int, 1)
     _require("walk_length", walk_length, int, 1)
-    require_connected(g)
-    if g.edge_count == 0:
-        # a single isolated node is "connected" but walkless
-        raise IsolatedNode("graph has no edges")
+    _require_no_isolated(g)
     n = g.node_count
     total = walk_number * n
     steps = walk_length - 1
@@ -354,7 +351,7 @@ def sgns_train(corpus: WalkCorpus, params: _WalkModel) -> np.ndarray:
         raise InputContractError(
             f"sgns_train takes a walk model as params, got {type(params).__name__}"
         )
-    Estimator._require_at_least(params, **params._minimums)
+    Estimator._require_at_least(params)
     walks = corpus.walks
     template = _window_template(walks.shape[1], params.window_size)
     return _train_pairs(walks, corpus.node_count, template, params)
@@ -401,15 +398,14 @@ class WalkletsModel(_WalkModel):
     dimensions: int = 32
     window_size: int = 4
 
-    def _require_at_least(self, **minimums) -> None:
-        # the types, then window_size < walk_length (scale walk_length has no pairs), then minimums
+    def _require_at_least(self) -> None:
+        # the base check, then window_size < walk_length (scale walk_length has no pairs)
         super()._require_at_least()
         if self.window_size >= self.walk_length:
             raise EmptyCorpus(
                 f"window_size {self.window_size} needs walks longer than it, "
                 f"got walk_length {self.walk_length}"
             )
-        super()._require_at_least(**minimums)
 
     def _fit(self, data: Graph) -> None:
         corpus = self._walks(data)
@@ -439,7 +435,7 @@ class NetMfModel(Estimator):
     negatives: int = 1
     seed: int = 42
 
-    _minimums = {"order": 1, "negatives": 1}
+    _minimums = {"dimensions": 1, "order": 1, "negatives": 1}
     get_embedding = Estimator.getter("embedding")
 
     def _fit(self, data: Graph) -> None:
@@ -447,7 +443,7 @@ class NetMfModel(Estimator):
         if n > NETMF_NODE_CAP:
             raise GraphTooLarge(f"netmf is capped at {NETMF_NODE_CAP} nodes, got {n}")
         p = transition_matrix(data)  # an edgeless graph fails here, as in the walk models
-        if self.dimensions < 1 or self.dimensions > n:
+        if self.dimensions > n:
             raise RankTooLarge(f"dimensions {self.dimensions} not in 1..{n}")
         deg = data.degrees.astype(np.float64)
         vol = float(deg.sum())

@@ -4,6 +4,7 @@ import pytest
 from graphmine import (
     DisconnectedGraph,
     IncompleteMembership,
+    InputContractError,
     LabelPropagationModel,
     NotFitted,
     RandomSource,
@@ -343,9 +344,10 @@ def test_symnmf_embedding_getter_returns_a_copy():
 
 def test_symnmf_rejects_bad_rank():
     g = path_graph(4)
-    with pytest.raises(RankTooLarge):
+    with pytest.raises(RankTooLarge, match="^dimensions 5 not in 1..4$"):
         SymNmfModel(dimensions=5).fit(g)
-    with pytest.raises(RankTooLarge):
+    # a rank below 1 is a hyperparameter minimum, checked before the graph
+    with pytest.raises(InputContractError, match="^dimensions must be >= 1, got 0$"):
         SymNmfModel(dimensions=0).fit(g)
 
 

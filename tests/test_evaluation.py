@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -215,13 +216,14 @@ def test_softmax_predictions_are_probability_rows():
 
 def test_softmax_rejects_bad_labels_and_shapes():
     x = np.zeros((4, 2))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(SingleClassTest, match="^need at least two classes to fit$"):
         softmax_fit(x, [0, 0, 0, 0])  # a single class is unlearnable
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputContractError, match="^labels must be nonnegative$") as bad_label:
         softmax_fit(x, [0, 1, -1, 0])
+    assert type(bad_label.value) is InputContractError
     with pytest.raises(DimensionMismatch):
         softmax_fit(x, [0, 1, 1])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=re.escape("got (0, 2) vs (0,)")):
         softmax_fit(np.zeros((0, 2)), [])
     with pytest.raises(NotFitted, match="^call softmax_fit before softmax_predict$"):
         softmax_predict(SoftmaxModel(), x)

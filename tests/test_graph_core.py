@@ -370,10 +370,10 @@ _WALK_MINIMUMS = {"walk_number": 1, "walk_length": 2, "dimensions": 1, "window_s
 _MINIMUMS = {
     LabelPropagationModel: {"max_iterations": 1},
     ScdModel: {"refinement_rounds": 0},
-    SymNmfModel: {"iterations": 1},
+    SymNmfModel: {"dimensions": 1, "iterations": 1},
     DeepWalkModel: _WALK_MINIMUMS,
     WalkletsModel: _WALK_MINIMUMS,
-    NetMfModel: {"order": 1, "negatives": 1},
+    NetMfModel: {"dimensions": 1, "order": 1, "negatives": 1},
     SfModel: {"dimensions": 1},
     NetLsdModel: {},
     WlSvdModel: {"wl_iterations": 0, "dimensions": 1},
@@ -387,14 +387,13 @@ def _refused_input(cls):
 
 
 def _bad_fields():
-    """Each field set to a non-number, and each field with a minimum set below
-    it, except Walklets' walk_length: below 2 it meets window_size first."""
+    """Each field set to a non-number, and each field with a minimum set below it."""
     for cls, minimums in _MINIMUMS.items():
         for name, default in _SIGNATURES[cls]:
             kind = "an integer" if type(default) is int else "a number"
             yield cls, {name: "x"}, f"{name} must be {kind}, got 'x'"
             low = minimums.get(name)
-            if low is not None and not (cls is WalkletsModel and name == "walk_length"):
+            if low is not None:
                 yield cls, {name: low - 1}, f"{name} must be >= {low}, got {low - 1}"
 
 
@@ -463,23 +462,25 @@ def test_each_fit_hands_its_model_only_the_data(cls):
 @pytest.mark.parametrize(
     "change, error, message",
     [
-        # every type and the float rule come before the window check ...
+        # every type, the float rule and every minimum come before the window check ...
         ({"window_size": 8, "walk_length": 8, "seed": "x"}, InputContractError,
          "seed must be an integer, got 'x'"),
         ({"window_size": 8, "walk_length": 8, "learning_rate": 0.0}, InputContractError,
          "learning_rate must be a positive finite number, got 0.0"),
-        # ... which comes before every minimum ...
-        ({"walk_number": 0, "walk_length": 1}, EmptyCorpus,
-         "window_size 4 needs walks longer than it, got walk_length 1"),
-        ({"walk_number": 0, "window_size": 6, "walk_length": 6}, EmptyCorpus,
-         "window_size 6 needs walks longer than it, got walk_length 6"),
-        # ... and the minimums come in field order
+        ({"walk_length": 1}, InputContractError, "walk_length must be >= 2, got 1"),
+        ({"walk_number": 0, "window_size": 6, "walk_length": 6}, InputContractError,
+         "walk_number must be >= 1, got 0"),
+        # ... the minimums come in field order ...
         ({"walk_number": 0, "epochs": 0}, InputContractError, "walk_number must be >= 1, got 0"),
         ({"window_size": 0, "epochs": 0}, InputContractError, "window_size must be >= 1, got 0"),
+        # ... and the window check comes before the graph's
+        ({"window_size": 6, "walk_length": 6}, EmptyCorpus,
+         "window_size 6 needs walks longer than it, got walk_length 6"),
     ],
-    ids=["type", "float-rule", "walk-length-1", "window-equals-length", "walk-number", "window-0"],
+    ids=["type", "float-rule", "walk-length-1", "window-equals-length", "walk-number", "window-0",
+         "window-only"],
 )
-def test_walklets_checks_types_then_the_window_then_minimums(change, error, message):
+def test_walklets_checks_types_and_minimums_then_the_window(change, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         WalkletsModel(**change).fit(_refused_input(WalkletsModel))
 

@@ -239,7 +239,7 @@ def test_wl_svd_is_deterministic():
 # --- corpus contracts ---
 
 def test_corpus_validates_lengths():
-    with pytest.raises(IncompleteFeatureMap):
+    with pytest.raises(LengthMismatch, match="^features, when given, must match the corpus length$"):
         GraphCorpus(graphs=[path_graph(2)], features=[])
     with pytest.raises(LengthMismatch, match="^labels, when given, must match the corpus length$"):
         GraphCorpus(graphs=[path_graph(2)], labels=[0, 1])

@@ -220,12 +220,16 @@ def test_corpus_rejects_malformed_lines(tmp_path):
         (read_corpus_jsonl, "c.jsonl",
          '{"edges": [[0, 1]]}\n{"edges": [[0, 1]], "features": {"0": "a", "1": "b", "00": "c"}}\n', 2),
         (read_corpus_jsonl, "c.jsonl", '{"edges": [[0, 1]], "features": {"1": "a", "1": "b"}}\n', 1),
+        (read_corpus_jsonl, "c.jsonl", '{"edges": [[0, 1]], "features": {"0": null, "1": 7}}\n', 1),
+        (read_corpus_jsonl, "c.jsonl",
+         '{"edges": [[0, 1]]}\n{"edges": [[0, 1]], "features": {"0": "a", "1": 7}}\n', 2),
     ],
     ids=["membership-json", "embedding-text", "embedding-nan", "embedding-inf",
          "features-list", "features-key", "label-text", "label-list",
          "label-float", "label-bool", "endpoint-float", "cluster-id-float",
          "cluster-id-bool", "edge-list-not-utf8", "labels-not-utf8", "membership-same-node",
-         "membership-repeated-key", "features-same-node", "features-repeated-key"],
+         "membership-repeated-key", "features-same-node", "features-repeated-key",
+         "features-null", "features-number"],
 )
 def test_readers_raise_typed_errors_with_line_context(tmp_path, reader, name, text, line):
     path = tmp_path / name

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from graphmine import (
     DeepWalkModel,
     DisconnectedGraph,
     EmptyCorpus,
+    Estimator,
     GraphTooLarge,
     InputContractError,
     IsolatedNode,
@@ -29,7 +31,7 @@ from graphmine import (
     sgns_pair_loss,
     sgns_train,
 )
-from graphmine import node_embedding
+from graphmine import graph_core, node_embedding
 from graphmine.node_embedding import (
     _bucket_search,
     _bucket_table,
@@ -112,10 +114,13 @@ def test_walks_reject_counts_below_one(walk_number, walk_length):
 
 
 def test_walks_reject_unusable_graphs():
-    with pytest.raises(DisconnectedGraph):
-        generate_walks(build_graph(4, [(0, 1), (2, 3)]), 1, 5, RandomSource(0, 0))
-    with pytest.raises(IsolatedNode):
+    # a walk step needs a neighbour; connectivity is the estimators' rule, checked by fit
+    with pytest.raises(IsolatedNode, match="^node 2 has degree 0$"):
+        generate_walks(build_graph(4, [(0, 1), (1, 3)]), 1, 5, RandomSource(0, 0))
+    with pytest.raises(IsolatedNode, match="^node 0 has degree 0$"):
         generate_walks(build_graph(1, []), 1, 5, RandomSource(0, 0))
+    walks = generate_walks(build_graph(4, [(0, 1), (2, 3)]), 2, 5, RandomSource(0, 0)).walks
+    assert [set(w) for w in walks.tolist()] == [{0, 1}, {0, 1}, {2, 3}, {2, 3}] * 2
 
 
 # --- pair loss and gradients ---
@@ -608,6 +613,27 @@ def test_estimators_require_connected_graphs():
     ):
         with pytest.raises(DisconnectedGraph):
             model.fit(g)
+
+
+@pytest.mark.parametrize("cls", [DeepWalkModel, WalkletsModel], ids=lambda cls: cls.__name__)
+def test_walk_fits_search_the_graph_once(monkeypatch, cls):
+    searched = []
+    search = graph_core._reaches_all
+    monkeypatch.setattr(graph_core, "_reaches_all", lambda g: searched.append(g) or search(g))
+    g = two_cliques(4)
+    cls(walk_number=1, walk_length=4, dimensions=2, window_size=2).fit(g)
+    assert searched == [g]
+
+
+def test_walklets_fit_checks_its_hyperparameters_once(monkeypatch):
+    checked = []
+    check = Estimator._require_at_least
+    monkeypatch.setattr(Estimator, "_require_at_least",
+                        lambda self, *a, **kw: checked.append(self) or check(self, *a, **kw))
+    model = WalkletsModel(walk_number=1, walk_length=4, dimensions=2, window_size=2)
+    model.fit(two_cliques(4))
+    assert checked == [model]
+    assert list(inspect.signature(check).parameters) == ["self"]
 
 
 def test_not_fitted_guards():

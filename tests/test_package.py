@@ -1,5 +1,6 @@
 """The package namespace and the README quick start."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import graphmine
+from graphmine import errors
 
 _MODULES = [
     "errors", "graph_core", "linalg", "community",
@@ -24,6 +26,18 @@ def test_package_reexports_every_module_all_once():
             assert public not in seen, f"{public} in both {seen.get(public)} and {name}"
             seen[public] = name
             assert getattr(graphmine, public) is getattr(module, public), public
+
+
+def test_every_leaf_error_class_is_raised_somewhere():
+    # a rule moved between modules must not leave a documented error unreachable
+    leaves = {name for name in errors.__all__ if not getattr(errors, name).__subclasses__()}
+    raised = set()
+    for path in Path(graphmine.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                if isinstance(node.exc.func, ast.Name):
+                    raised.add(node.exc.func.id)
+    assert leaves and leaves <= raised, f"never raised: {sorted(leaves - raised)}"
 
 
 def test_readme_quick_start_runs():
