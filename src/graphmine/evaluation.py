@@ -129,12 +129,11 @@ def softmax_loss_and_gradient(
     s = xb.shape[0]
     probs = _softmax_rows(xb @ weights)
     loss = float(-np.mean(np.log(probs[np.arange(s), y] + 1e-300)))
-    penalty_mask = np.ones_like(weights)
-    penalty_mask[0, :] = 0.0
-    loss += 0.5 * l2 * float(np.sum((weights * penalty_mask) ** 2))
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(s), y] = 1.0
-    grad = xb.T @ (probs - onehot) / s + l2 * (weights * penalty_mask)
+    penalized = weights.copy()
+    penalized[0] = 0.0  # the bias row
+    loss += 0.5 * l2 * float(np.sum(penalized ** 2))
+    probs[np.arange(s), y] -= 1.0  # probs minus the one-hot labels
+    grad = xb.T @ probs / s + l2 * penalized
     return loss, grad
 
 

@@ -369,7 +369,7 @@ def erdos_renyi_gnm(
     Pairs are drawn uniformly and rejected while already present; expected
     cost is O(m) in the sparse regimes this library targets.  With
     ``connected=True`` the draw is retried with the next stream_id, up to
-    100 attempts, until the result is connected.
+    100 attempts, until connected; with fewer than n - 1 edges it draws none.
     """
     _require("n", n, int)
     _require("m", m, int)
@@ -379,15 +379,15 @@ def erdos_renyi_gnm(
     max_m = n * (n - 1) // 2
     if m < 0 or m > max_m:
         raise TooManyEdges(f"{m} edges requested, graph of {n} nodes admits at most {max_m}")
-    attempts = 100 if connected else 1
-    # fewer than n - 1 edges never join n nodes: skip the draws bound to fail
-    for k in range(attempts if not connected or m >= n - 1 else 0):
+    if connected and m < n - 1:
+        raise ConnectivityRetryExhausted(f"G({n},{m}) cannot be connected: fewer than n - 1 edges")
+    for k in range(100 if connected else 1):
         gen = RandomSource(rng.seed, rng.stream_id + k).generator()
         g = build_graph(n, _distinct_pairs(gen, n, m))
         if not connected or _reaches_all(g):
             return g
     raise ConnectivityRetryExhausted(
-        f"no connected G({n},{m}) found in {attempts} attempts from seed {rng.seed}"
+        f"no connected G({n},{m}) found in 100 attempts from seed {rng.seed}"
     )
 
 
@@ -429,18 +429,17 @@ def transition_matrix(g: Graph) -> _sp.csr_matrix:
     return _sparse().csr_matrix((values, g.targets.copy(), g.offsets.copy()), shape=(n, n))
 
 
-def normalized_laplacian(g: Graph) -> _sp.csr_matrix:
-    """Symmetric normalized Laplacian; eigenvalues lie in [0, 2].
+def normalized_laplacian(g: Graph) -> np.ndarray:
+    """Symmetric normalized Laplacian as a dense float64 array; eigenvalues lie in [0, 2].
 
-    Entry (u,v) for an edge is -1/sqrt(deg(u)*deg(v)); the diagonal is 1.
+    Entry (u,v) for an edge is -(1/sqrt(deg u)) * (1/sqrt(deg v)); the diagonal is 1.
     """
     deg = _require_no_isolated(g)
-    n = g.node_count
     inv_sqrt = 1.0 / np.sqrt(deg)
-    off_values = -np.repeat(inv_sqrt, g.degrees) * inv_sqrt[g.targets]
-    sparse = _sparse()
-    off = sparse.csr_matrix((off_values, g.targets, g.offsets), shape=(n, n))
-    return sparse.eye(n, format="csr") + off
+    rows = np.repeat(np.arange(g.node_count), g.degrees)
+    lap = np.eye(g.node_count)
+    lap[rows, g.targets] = -inv_sqrt[rows] * inv_sqrt[g.targets]
+    return lap
 
 
 def triangle_partners(nbrs: list[list[int]]) -> tuple[list[list[int]], list[int]]:

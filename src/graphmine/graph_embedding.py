@@ -83,7 +83,11 @@ def wl_features(g: Graph, features: dict | None, iterations: int) -> Counter:
         missing = [v for v in range(n) if v not in features]
         if missing:
             raise IncompleteFeatureMap(f"feature map missing node {missing[0]}")
-        labels = [str(features[v]) for v in range(n)]
+        labels = [features[v] for v in range(n)]
+        wrong = [v for v in range(n) if not isinstance(labels[v], str)]
+        if wrong:
+            kind = type(labels[wrong[0]]).__name__
+            raise InputContractError(f"feature of node {wrong[0]} must be a str, got {kind}")
     else:
         labels = [str(d) for d in g.degrees.tolist()]
     counts = Counter(f"0:{label}" for label in labels)
@@ -101,10 +105,8 @@ def _spectra(corpus: GraphCorpus) -> list:
     precedence over the dense cap."""
     for i, g in enumerate(corpus.graphs):
         if g.node_count > DENSE_SIZE_CAP:
-            raise GraphTooLarge(
-                f"graph {i} has {g.node_count} nodes, cap is {DENSE_SIZE_CAP}"
-            )
-    return [eigvals_symmetric(normalized_laplacian(g).toarray()) for g in corpus.graphs]
+            raise GraphTooLarge(f"graph {i} has {g.node_count} nodes, cap is {DENSE_SIZE_CAP}")
+    return [eigvals_symmetric(normalized_laplacian(g)) for g in corpus.graphs]
 
 
 class SfModel(Estimator):

@@ -24,6 +24,8 @@ from graphmine import (
     modularity,
     train_test_split,
 )
+from graphmine import evaluation
+from frozen_softmax import softmax_loss_and_gradient_by_masks
 from oracles import auc_pairwise, central_difference, gradient_gap, nmi_reference
 
 
@@ -178,6 +180,25 @@ def test_softmax_penalty_skips_the_bias_row():
     a, _ = softmax_loss_and_gradient(w_bias_only, xb, y, l2=0.0)
     b, _ = softmax_loss_and_gradient(w_bias_only, xb, y, l2=10.0)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "rows, width, classes, scale, learning_rate, halvings",
+    [(6554, 32, 8, 1.0, 0.1, 0), (6554, 32, 8, 64.0, 50.0, 6), (400, 128, 3, 1.0, 0.1, 0),
+     (3000, 16, 100, 1.0, 0.1, 0)],
+)
+def test_softmax_fit_bytes_match_the_frozen_mask_copy(
+    monkeypatch, rows, width, classes, scale, learning_rate, halvings
+):
+    gen = RandomSource(11, 0).generator()
+    y = gen.integers(0, classes, size=rows)
+    x = scale * (gen.standard_normal((rows, width)) + gen.standard_normal((classes, width))[y])
+    got = softmax_fit(x, y, SoftmaxModel(learning_rate=learning_rate, epochs=100))
+    monkeypatch.setattr(evaluation, "softmax_loss_and_gradient", softmax_loss_and_gradient_by_masks)
+    want = softmax_fit(x, y, SoftmaxModel(learning_rate=learning_rate, epochs=100))
+    assert len(got.loss_history_) == 101 - halvings  # each halving skips one epoch's loss
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert got.loss_history_ == want.loss_history_
 
 
 def test_softmax_fit_separable_data():

@@ -39,7 +39,10 @@ from graphmine import (
     triangle_partners,
 )
 from graphmine.node_embedding import _WalkModel
-from builders import complete_graph, path_graph, star_graph, triangle_pair, two_cliques
+from builders import (
+    complete_graph, path_graph, random_connected, star_graph, triangle_pair, two_cliques,
+)
+from frozen_laplacian import normalized_laplacian_by_csr
 from oracles import triangle_counts_reference
 
 
@@ -206,13 +209,23 @@ def test_normalized_laplacian_matches_dense_formula():
     a = g.adjacency_scipy().toarray()
     d = a.sum(axis=1)
     expected = np.eye(12) - a / np.sqrt(np.outer(d, d))
-    got = normalized_laplacian(g).toarray()
+    got = normalized_laplacian(g)
     assert np.allclose(got, expected, atol=1e-14)
 
 
 def test_normalized_laplacian_path_2():
-    got = normalized_laplacian(path_graph(2)).toarray()
+    got = normalized_laplacian(path_graph(2))
     assert np.allclose(got, [[1.0, -1.0], [-1.0, 1.0]])
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 64, 192, 1024])
+def test_normalized_laplacian_bytes_match_the_frozen_csr_copy(n):
+    graphs = [path_graph(n), star_graph(n), complete_graph(n)]
+    graphs += [random_connected(n, min(3 * n, n * (n - 1) // 2), seed) for seed in range(5)]
+    for g in graphs:
+        got = normalized_laplacian(g)
+        assert got.dtype == np.float64 and got.shape == (n, n)
+        assert got.tobytes() == normalized_laplacian_by_csr(g).tobytes()
 
 
 def test_triangle_counts_match_triple_enumeration():

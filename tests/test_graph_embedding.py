@@ -127,6 +127,17 @@ def test_wl_feature_map_must_be_a_dict(features, kind):
         WlSvdModel().fit(corpus)
 
 
+@pytest.mark.parametrize("value, kind", [(1, "int"), (None, "NoneType")], ids=["int", "None"])
+def test_wl_feature_values_must_be_strings(value, kind):
+    # the corpus reader refuses such values too, so a library call may not hash their str()
+    features = {0: "a", 1: value, 2: "b"}
+    with pytest.raises(InputContractError, match=f"^feature of node 1 must be a str, got {kind}$"):
+        wl_features(path_graph(3), features, 1)
+    corpus = GraphCorpus(graphs=[path_graph(3), path_graph(3)], features=[None, features])
+    with pytest.raises(InputContractError, match=f"^feature of node 1 must be a str, got {kind}$"):
+        WlSvdModel().fit(corpus)
+
+
 # --- spectral fingerprint ---
 
 def test_sf_single_edge_eigenvalues_padded():

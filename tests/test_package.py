@@ -50,9 +50,9 @@ def test_readme_quick_start_runs():
     assert out.getvalue().splitlines()[-1] == "(200, 32)"
 
 
-# Commands that build no sparse matrix, so they must not pay for scipy.sparse.
+# Commands and fits that build no sparse matrix, so they must not pay for scipy.sparse.
 _NO_SPARSE_SCRIPT = """
-import os, sys
+import json, os, sys
 import numpy as np
 import graphmine
 assert "scipy.sparse" not in sys.modules, "import graphmine"
@@ -62,6 +62,14 @@ path = lambda name: os.path.join(sys.argv[1], name)
 gen = np.random.default_rng(0)
 graphmine.write_embedding_csv(gen.random((24, 3)), path("emb.csv"))
 graphmine.write_labels_csv([i % 2 for i in range(24)], path("y.csv"))
+graphs = [graphmine.erdos_renyi_gnm(n, 2 * n, graphmine.RandomSource(n, 0), connected=True)
+          for n in range(6, 16)]
+corpus = graphmine.GraphCorpus(graphs=graphs)
+for model in (graphmine.SfModel(dimensions=4), graphmine.NetLsdModel()):
+    assert model.fit(corpus).get_embedding().shape[0] == len(graphs), type(model).__name__
+    assert "scipy.sparse" not in sys.modules, type(model).__name__
+with open(path("corpus.jsonl"), "w") as f:
+    f.writelines(json.dumps({"edges": g.edges()}) + "\\n" for g in graphs)
 for argv, out in (
     (["generate", "--nodes", "24", "--edges", "60", "--seed", "2", "--connected"], "g.csv"),
     (["cluster", "--algo", "label-propagation", "--graph", path("g.csv")], "lp.json"),
@@ -69,6 +77,8 @@ for argv, out in (
     (["eval", "nmi", "--a", path("lp.json"), "--b", path("lp.json")], "nmi.txt"),
     (["eval", "modularity", "--graph", path("g.csv"), "--membership", path("lp.json")], "q.txt"),
     (["eval", "classify", "--embedding", path("emb.csv"), "--labels", path("y.csv")], "auc.txt"),
+    (["embed-graphs", "--algo", "sf", "--corpus", path("corpus.jsonl")], "sf.csv"),
+    (["embed-graphs", "--algo", "netlsd", "--corpus", path("corpus.jsonl")], "netlsd.csv"),
 ):
     assert graphmine.cli.main(argv + ["--out", path(out)]) == 0, argv
     assert "scipy.sparse" not in sys.modules, argv
@@ -80,7 +90,7 @@ def test_import_and_sparse_free_commands_leave_scipy_sparse_unloaded(tmp_path):
         [sys.executable, "-c", _NO_SPARSE_SCRIPT, str(tmp_path)], capture_output=True, text=True
     )
     assert res.returncode == 0, res.stderr
-    assert (tmp_path / "auc.txt").exists()
+    assert (tmp_path / "auc.txt").exists() and (tmp_path / "netlsd.csv").exists()
 
 
 # The SVD models take their QR from numpy's lapack_lite, not scipy.linalg,
