@@ -199,27 +199,15 @@ class ScdModel(Estimator):
 # symmetric NMF
 # ---------------------------------------------------------------------------
 
-def _argmax_rows(h: np.ndarray, gen: np.random.Generator) -> list[int]:
-    """The column of each row's maximum.  A row with several maxima picks one
-    with ``gen.integers(0, count)``; only such rows draw, in ascending row
-    order."""
-    tied = h == h.max(axis=1, keepdims=True)
-    picks = h.argmax(axis=1)
-    for v in np.flatnonzero(tied.sum(axis=1) > 1).tolist():
-        best = np.flatnonzero(tied[v])
-        picks[v] = best[gen.integers(0, best.size)]
-    return picks.tolist()
-
-
 class SymNmfModel(Estimator):
     """Overlapping community model: factor the adjacency as H H^T, H >= 0.
 
     Fitting runs damped multiplicative updates whose damping share backs off
     until each step is non-increasing, so H stays nonnegative and the squared
-    reconstruction loss never goes up.  Hard memberships are
-    the per-row argmax of H with seeded random tie-breaks.  The fitted H is
-    available through ``get_embedding``; per-iteration losses are recorded
-    in ``loss_history_``.
+    reconstruction loss never goes up.  A node's hard membership is the column
+    of its row's largest entry of H, the lowest on a tie (``numpy.argmax``).
+    The fitted H is available through ``get_embedding``; per-iteration losses
+    are recorded in ``loss_history_``.
     """
 
     dimensions: int = 32
@@ -276,7 +264,6 @@ class SymNmfModel(Estimator):
                 if abs(losses[-2] - losses[-1]) / max(losses[-2], eps) < self.tolerance:
                     break
 
-        picks = _argmax_rows(h, RandomSource(self.seed, 1).generator())
         self._embedding = h
-        self._memberships = canonicalize_memberships(dict(enumerate(picks)))
+        self._memberships = canonicalize_memberships(dict(enumerate(h.argmax(axis=1).tolist())))
         self.loss_history_ = losses

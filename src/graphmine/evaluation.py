@@ -152,6 +152,8 @@ def softmax_fit(x: np.ndarray, y, model: SoftmaxModel | None = None) -> SoftmaxM
         raise DimensionMismatch(
             f"x rows must pair with y entries, got {x.shape} vs {y.shape}"
         )
+    if not np.isfinite(x).all():
+        raise InputContractError("x must be finite")
     if y.min() < 0:
         raise InputContractError("labels must be nonnegative")
     c = int(y.max()) + 1

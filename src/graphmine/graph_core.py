@@ -268,9 +268,11 @@ def build_graph(n: int, edges) -> Graph:
     (u, v) and (v, u) denote the same edge; supplying both, or the same pair
     twice, raises :class:`DuplicateEdge`.  Self-loops and endpoints outside
     0..n-1 are rejected rather than dropped, so upstream data bugs surface
-    loudly.  Node ids are int64 and the n + 1 offsets must be addressable: an
-    ``n`` above 2**60 - 2 (64-bit builds) raises :class:`OutOfRangeNode`
-    once every edge has passed those checks.
+    loudly, and so is a pair that is not two values ``int()`` converts
+    without loss (:class:`InputContractError`).  Node ids are int64 and the
+    n + 1 offsets must be addressable: an ``n`` above 2**60 - 2 (64-bit
+    builds) raises :class:`OutOfRangeNode` once every edge has passed those
+    checks.
     """
     _require("n", n, int)
     if n < 1:
@@ -308,12 +310,23 @@ def build_graph(n: int, edges) -> Graph:
     return Graph(n, offsets, targets)
 
 
+def _node_id(x) -> int:
+    """``int(x)``; ValueError where that loses ``x``'s value (a str is parsed, not compared)."""
+    i = int(x)
+    if i != x and not isinstance(x, (str, bytes)):
+        raise ValueError(x)
+    return i
+
+
 def _checked_pairs(n: int, edges) -> np.ndarray:
     """The per-edge loop: raises for the first faulty edge in input order,
     else returns the distinct ``(lo, hi)`` pairs as an (m, 2) int64 array."""
     seen: set[tuple[int, int]] = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
+    for edge in edges:
+        try:
+            u, v = map(_node_id, edge)
+        except (TypeError, ValueError, OverflowError):
+            raise InputContractError(f"edge {reprlib.repr(edge)} is not two integer node ids") from None
         if not (0 <= u < n) or not (0 <= v < n):
             raise OutOfRangeNode(f"edge ({u},{v}) outside 0..{n - 1}")
         if u == v:

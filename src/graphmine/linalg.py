@@ -21,7 +21,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .errors import MatrixTooLarge, NoConvergence, NotSymmetric, RankTooLarge
-from .graph_core import RandomSource, _sparse
+from .graph_core import RandomSource, _require, _sparse
 
 if TYPE_CHECKING:
     from scipy import sparse as _sp
@@ -124,6 +124,7 @@ def randomized_svd(a: _sp.spmatrix, k: int, rng: RandomSource) -> tuple[np.ndarr
     never modified.
     """
     rows, cols = a.shape
+    _require("k", k, int)
     if k < 1 or k > min(rows, cols):
         raise RankTooLarge(f"rank {k} not in 1..{min(rows, cols)}")
     m = _sparse().csr_matrix(a, dtype=np.float64)
@@ -141,8 +142,5 @@ def randomized_svd(a: _sp.spmatrix, k: int, rng: RandomSource) -> tuple[np.ndarr
     order = np.argsort(lam, kind="stable")[::-1][:k]
     sigma = np.sqrt(np.maximum(lam[order], 0.0))
     u = q @ ub[:, order]
-    # sign canonicalization: largest-|entry| of each u column made positive
-    flip = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
-    flip[flip == 0.0] = 1.0
-    u *= flip
+    u *= np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
     return u, sigma

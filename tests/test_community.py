@@ -26,7 +26,6 @@ from builders import (
     triangle_pair,
     two_cliques,
 )
-from graphmine.community import _argmax_rows
 from oracles import modularity_reference
 
 
@@ -420,39 +419,42 @@ def test_symnmf_matches_the_recomputing_reference_exactly():
     assert paths == [(24, 301), (0, 117)]
 
 
-def _argmax_loop(h, seed):
-    """The hard-assignment loop of ``_symnmf_reference``, on its own, so a
-    hand-built H can reach its tie path."""
-    argmax_gen = RandomSource(seed, 1).generator()
-    assignments = {}
-    for v in range(h.shape[0]):
-        row = h[v]
-        best = np.flatnonzero(row == row.max())
-        pick = best[0] if best.size == 1 else best[argmax_gen.integers(0, best.size)]
-        assignments[v] = int(pick)
-    return [assignments[v] for v in range(h.shape[0])]
+def test_symnmf_builds_one_generator(monkeypatch):
+    built = []
+    generator = RandomSource.generator
+
+    def counted(self):
+        built.append((self.seed, self.stream_id))
+        return generator(self)
+
+    monkeypatch.setattr(RandomSource, "generator", counted)
+    SymNmfModel(dimensions=3, seed=5).fit(two_cliques(4))
+    assert built == [(5, 0)]
 
 
-def test_symnmf_argmax_draws_only_for_tied_rows_in_node_order():
-    h = np.array([
-        [0.1, 0.7, 0.7, 0.0],
-        [0.9, 0.2, 0.3, 0.1],
-        [0.5, 0.5, 0.5, 0.5],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.2, 0.4, 0.1, 0.4],
-        [0.3, 0.1, 0.3, 0.8],
-        [0.6, 0.6, 0.0, 0.6],
-    ])
-    for seed in range(20):
-        assert _argmax_rows(h, RandomSource(seed, 1).generator()) == _argmax_loop(h, seed)
-    # a row with one maximum takes no draw: the tied rows see the same
-    # stream whether or not untied rows sit between them
-    untied = np.array([[0.0, 0.0, 0.0, 1.0]] * 3)
-    padded = np.vstack([untied, h[[0]], untied, h[[2]], untied, h[[6]]])
-    for seed in range(20):
-        picks = _argmax_rows(padded, RandomSource(seed, 1).generator())
-        assert picks == _argmax_loop(padded, seed)
-        assert picks[3::4] == _argmax_loop(h[[0, 2, 6]], seed)
+def test_symnmf_memberships_are_the_argmax_of_h():
+    graphs = [triangle_pair(), two_cliques(5), star_graph(7), cycle_graph(9), path_graph(6),
+              complete_graph(6), hub_heavy(30, 40, 1)]
+    graphs += [erdos_renyi_gnm(n, 2 * n, RandomSource(n, 0), connected=True) for n in (8, 20, 40)]
+    for seed, g in enumerate(graphs):
+        k = 1 + (3 * seed) % min(g.node_count, 8)
+        model = SymNmfModel(dimensions=k, iterations=50, seed=seed).fit(g)
+        argmax = model.get_embedding().argmax(axis=1).tolist()
+        assert model.get_memberships() == canonicalize_memberships(dict(enumerate(argmax)))
+
+
+def test_fitted_h_rows_have_one_maximum():
+    # the premise of the argmax rule: no fit leaves a row with two equal
+    # maxima, so the lowest-column rule never decides a membership
+    for seed in range(200):
+        gen = RandomSource(seed, 3).generator()
+        n = int(gen.integers(2, 25))
+        m = min(n * (n - 1) // 2, int(gen.integers(2 * n, 4 * n)))
+        g = erdos_renyi_gnm(n, m, RandomSource(seed, 4), connected=True)
+        model = SymNmfModel(dimensions=int(gen.integers(1, n + 1)),
+                            iterations=int(gen.choice([1, 5, 50])), seed=seed)
+        h = model.fit(g).get_embedding()
+        assert np.all((h == h.max(axis=1, keepdims=True)).sum(axis=1) == 1), seed
 
 
 def test_symnmf_not_fitted_guard():

@@ -253,6 +253,15 @@ def test_softmax_rejects_bad_labels_and_shapes():
         softmax_predict(model, np.zeros((3, 5)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_softmax_refuses_a_non_finite_x(bad):
+    x = np.random.default_rng(0).standard_normal((6, 2))
+    x[4, 1] = bad
+    with pytest.raises(InputContractError, match="^x must be finite$") as info:
+        softmax_fit(x, [0, 1, 0, 1, 0, 1])
+    assert type(info.value) is InputContractError
+
+
 @pytest.mark.parametrize(
     "change, message",
     [

@@ -1,5 +1,7 @@
 """Graph ingestion on arrays gives the graphs, exceptions and messages of the
-per-line and per-edge loops it replaced (``frozen_ingest``)."""
+per-line and per-edge loops it replaced (``frozen_ingest``), except that
+``build_graph`` refuses a pair that is not two values ``int()`` converts
+without loss."""
 
 import os
 import tempfile
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from graphmine import (
     ConnectivityRetryExhausted,
+    InputContractError,
     OutOfRangeNode,
     RandomSource,
     build_graph,
@@ -128,6 +131,12 @@ def test_valid_input_never_reaches_the_loops(tmp_path, monkeypatch):
 # --- build_graph against the per-edge loop ---
 
 _PAIRS = [(0, 1), (2, 1), (3, 0), (1, 3)]
+
+
+def _not_two_ids(edge):
+    return InputContractError, f"edge {edge!r} is not two integer node ids"
+
+
 _BUILD_CASES = [
     (4, _PAIRS),
     (4, list(reversed(_PAIRS))),
@@ -140,7 +149,7 @@ _BUILD_CASES = [
     (4, np.array(_PAIRS, dtype=np.uint64)),
     (4, [(np.int64(u), np.int32(v)) for u, v in _PAIRS]),
     (4, [(np.uint64(u), v) for u, v in _PAIRS]),
-    (4, [(float(u), v + 0.5) for u, v in _PAIRS]),
+    (4, [(float(u), v + 0.5) for u, v in _PAIRS], _not_two_ids((0.0, 1.5))),
     (4, np.array(_PAIRS, dtype=np.float64)),
     (4, [(str(u), str(v)) for u, v in _PAIRS]),
     (4, ["01", "12", "23"]),
@@ -148,8 +157,8 @@ _BUILD_CASES = [
     (4, np.array([(True, False)])),
     (4, []),
     (4, np.zeros((0, 2), dtype=np.int64)),
-    (4, [(0, 1, 2)]),
-    (4, [(0, 1), (2,)]),
+    (4, [(0, 1, 2)], _not_two_ids((0, 1, 2))),
+    (4, [(0, 1), (2,)], _not_two_ids((2,))),
     (4, [(0, 4)]),
     (4, [(-1, 2)]),
     (4, np.array([(0, 2**63 + 1)], dtype=np.uint64)),
@@ -163,12 +172,24 @@ _BUILD_CASES = [
     (-2, _PAIRS),
     (2**64, [(0, 1)]),
     (2**64, np.array([(0, 2**63 + 1)], dtype=np.uint64)),
+    (4, [(float(u), np.float64(v)) for u, v in _PAIRS]),
+    (4, [(0, 1), (2, "x")], _not_two_ids((2, "x"))),
+    (4, [(None, 1)], _not_two_ids((None, 1))),
+    (4, [(0, 1), (0, float("nan"))], _not_two_ids((0, float("nan")))),
+    (4, [(float("inf"), 1)], _not_two_ids((float("inf"), 1))),
+    (4, [(0, 1), (1, np.float64(2.5))], _not_two_ids((1, np.float64(2.5)))),
+    (4, np.array([(0, 1), (1, 2.5)]), _not_two_ids(np.array([1.0, 2.5]))),
+    (4, [(0, 1), 3], _not_two_ids(3)),
 ]
 
 
-@pytest.mark.parametrize("n, edges", _BUILD_CASES, ids=range(len(_BUILD_CASES)))
-def test_build_graph_matches_the_per_edge_loop(n, edges):
-    assert _outcome(build_graph, n, edges) == _reference(build_graph_by_edge, n, edges)
+@pytest.mark.parametrize("case", _BUILD_CASES, ids=range(len(_BUILD_CASES)))
+def test_build_graph_matches_the_per_edge_loop(case):
+    # a third entry is the outcome where the package refuses a pair that
+    # the loop, taking int() of each endpoint, builds or fails on untyped
+    n, edges, *want = case
+    expected = want[0] if want else _reference(build_graph_by_edge, n, edges)
+    assert _outcome(build_graph, n, edges) == expected
 
 
 def test_build_graph_takes_any_iterable_of_pairs():

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from graphmine import (
     DENSE_SIZE_CAP,
+    InputContractError,
     MatrixTooLarge,
     NetMfModel,
     NoConvergence,
@@ -259,6 +262,14 @@ def test_svd_rejects_bad_rank():
         randomized_svd(a, 0, RandomSource(0, 0))
     with pytest.raises(RankTooLarge):
         randomized_svd(a, 6, RandomSource(0, 0))
+
+
+@pytest.mark.parametrize("k", [2.5, "3", True, None])
+def test_svd_rejects_a_rank_that_is_not_an_integer(k):
+    a = _sparse_from_dense(np.eye(5))
+    with pytest.raises(InputContractError, match=f"^k must be an integer, got {re.escape(repr(k))}$"):
+        randomized_svd(a, k, RandomSource(0, 0))
+    assert randomized_svd(a, np.int64(2), RandomSource(0, 0))[1].shape == (2,)
 
 
 # --- LAPACK QR and blocked products, against the frozen numpy-QR copy ---
