@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numbers
 import reprlib
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -103,6 +104,24 @@ class RandomSource:
         """
         mixed = _splitmix64(self.seed ^ _splitmix64(self.stream_id))
         return RandomSource(seed=mixed, stream_id=index)
+
+    def child_uniforms(self, count: int, size: int) -> np.ndarray:
+        """``count`` rows of ``size`` uniforms in [0, 1): row w is
+        ``self.child(w).generator().random(size)``, bit for bit.
+
+        Child w's generator is a Philox keyed ``(mixed seed, w)`` at counter
+        0 with an empty buffer, so one Philox put back in that state for
+        each row draws the same numbers without building a generator per row.
+        """
+        child = self.child(0)
+        gen = child.generator()
+        state = gen.bit_generator.state  # counter 0 and an empty buffer, as built
+        out = np.empty((count, size))
+        for w, row in enumerate(out):
+            state["state"]["key"] = [child.seed, w]
+            gen.bit_generator.state = state
+            gen.random(out=row)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +288,8 @@ def build_graph(n: int, edges) -> Graph:
     twice, raises :class:`DuplicateEdge`.  Self-loops and endpoints outside
     0..n-1 are rejected rather than dropped, so upstream data bugs surface
     loudly, and so is a pair that is not two values ``int()`` converts
-    without loss (:class:`InputContractError`).  Node ids are int64 and the
+    without loss, or an edge that is a str, bytes or mapping
+    (:class:`InputContractError`).  Node ids are int64 and the
     n + 1 offsets must be addressable: an ``n`` above 2**60 - 2 (64-bit
     builds) raises :class:`OutOfRangeNode` once every edge has passed those
     checks.
@@ -324,6 +344,9 @@ def _checked_pairs(n: int, edges) -> np.ndarray:
     seen: set[tuple[int, int]] = set()
     for edge in edges:
         try:
+            if isinstance(edge, (str, bytes, Mapping)):
+                # these unpack into characters, byte values or keys, not two ids
+                raise TypeError(edge)
             u, v = map(_node_id, edge)
         except (TypeError, ValueError, OverflowError):
             raise InputContractError(f"edge {reprlib.repr(edge)} is not two integer node ids") from None

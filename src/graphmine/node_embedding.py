@@ -87,9 +87,10 @@ def generate_walks(
     every node; :class:`InputContractError` unless both are integers >= 1,
     and :class:`IsolatedNode` for a node that has no step to take.
 
-    Walk w starts at node ``w % n`` and consumes only ``rng.child(w)``, so
-    any execution order (or parallel fan-out) reproduces the same corpus.
-    All walks advance together: one vectorized neighbor lookup per step.
+    Walk w starts at node ``w % n`` and consumes only ``rng.child(w)``'s
+    stream (:meth:`RandomSource.child_uniforms`), so any execution order (or
+    parallel fan-out) reproduces the same corpus.  All walks advance
+    together: one vectorized neighbor lookup per step.
     """
     _require("walk_number", walk_number, int, 1)
     _require("walk_length", walk_length, int, 1)
@@ -97,9 +98,7 @@ def generate_walks(
     n = g.node_count
     total = walk_number * n
     steps = walk_length - 1
-    uniforms = np.empty((total, steps))
-    for w in range(total):
-        uniforms[w] = rng.child(w).generator().random(steps)
+    uniforms = rng.child_uniforms(total, steps)
     walks = np.empty((total, walk_length), dtype=np.int64)
     current = np.tile(np.arange(n, dtype=np.int64), walk_number)
     walks[:, 0] = current
@@ -118,9 +117,10 @@ def generate_walks(
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so each
-    # branch is the usual overflow-free form, from one exp
+    # branch is the usual overflow-free form, 1 / (1 + t) or t / (1 + t),
+    # from one exp and one division
     t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    return np.where(x >= 0, 1.0, t) / (1.0 + t)
 
 
 def sgns_pair_loss(
@@ -221,25 +221,29 @@ def _batch_size(
 
 
 def _bucket_table(cum: np.ndarray) -> np.ndarray:
-    """Lookup table for :func:`_bucket_search` over the sorted ``cum``.
+    """Lookup table for :func:`_bucket_search` over the sorted ``cum``,
+    whose last value is 1.0.
 
     It splits [0, 1) into 2**p >= 8n buckets of width 2**-p.  Entry k is
-    ``np.searchsorted(cum, r)`` for every r in bucket k when no value of
-    ``cum`` lies in the bucket (the answer is then the same across it), and
-    -1 when one does.
+    the count of ``cum`` values below the bucket when at most one value lies
+    in it, and -1 when two or more do.
     """
     buckets = 1 << (8 * len(cum) - 1).bit_length()
     edges = np.searchsorted(cum, np.arange(buckets + 1) / buckets)
-    return np.where(edges[:-1] == edges[1:], edges[:-1], -1)
+    return np.where(edges[1:] - edges[:-1] <= 1, edges[:-1], -1)
 
 
 def _bucket_search(table: np.ndarray, cum: np.ndarray, r: np.ndarray) -> np.ndarray:
     """``np.searchsorted(cum, r)`` for keys r in [0, 1), exactly.
 
     r times the power-of-two bucket count is exact, so each key lands in the
-    bucket that holds it; keys in buckets marked -1 fall back to the search.
+    bucket that holds it.  There the answer is the table entry, plus one if
+    r is above the bucket's one ``cum`` value (or, in a bucket with none,
+    the first value past it, which r never is).  A -1 entry stays -1, since
+    r is not above ``cum[-1]``, and falls back to the search.
     """
     idx = table[(r * len(table)).astype(np.intp)]
+    idx += r > cum[idx]
     miss = idx < 0
     idx[miss] = np.searchsorted(cum, r[miss])
     return idx
@@ -330,7 +334,8 @@ def _train_pairs(
                     x = buf[: 3 * b]
                     uc = np.take(u, cb, axis=0, out=x[b: 2 * b])
                     x[2 * b:] = uc
-                    _sgns_steps(uc, v[xb], v[negs], rates[lo: lo + b], x[:b], sel.data)
+                    vx, vn = np.take(v, xb, axis=0), np.take(v, negs, axis=0)
+                    _sgns_steps(uc, vx, vn, rates[lo: lo + b], x[:b], sel.data)
                     rows = sel.indices
                     rows[:b] = cb
                     np.add(xb, n, out=rows[b: 2 * b])

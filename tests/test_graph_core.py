@@ -150,6 +150,19 @@ def test_child_sources_are_stable_and_distinct():
     assert parent.child(0) != other.child(0)
 
 
+@pytest.mark.parametrize("seed", [0, 42, 2**63 + 5, 2**64 - 1, -3])
+@pytest.mark.parametrize("stream_id", [0, 7])
+def test_child_uniforms_are_the_child_generators_draws(seed, stream_id):
+    rng = RandomSource(seed, stream_id)
+    for size in (1, 3, 4, 5, 79):
+        got = rng.child_uniforms(300, size)
+        assert got.shape == (300, size) and got.dtype == np.float64
+        want = np.array([rng.child(w).generator().random(size) for w in range(300)])
+        assert got.tobytes() == want.tobytes(), size
+        assert rng.child_uniforms(0, size).shape == (0, size)
+    assert rng.child_uniforms(5, 0).shape == (5, 0)
+
+
 # --- random graphs ---
 
 def test_gnm_has_exact_edge_count_and_is_simple():

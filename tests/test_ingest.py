@@ -152,7 +152,7 @@ _BUILD_CASES = [
     (4, [(float(u), v + 0.5) for u, v in _PAIRS], _not_two_ids((0.0, 1.5))),
     (4, np.array(_PAIRS, dtype=np.float64)),
     (4, [(str(u), str(v)) for u, v in _PAIRS]),
-    (4, ["01", "12", "23"]),
+    (4, ["01", "12", "23"], _not_two_ids("01")),
     (4, [(True, False), (1, 2)]),
     (4, np.array([(True, False)])),
     (4, []),
@@ -180,6 +180,8 @@ _BUILD_CASES = [
     (4, [(0, 1), (1, np.float64(2.5))], _not_two_ids((1, np.float64(2.5)))),
     (4, np.array([(0, 1), (1, 2.5)]), _not_two_ids(np.array([1.0, 2.5]))),
     (4, [(0, 1), 3], _not_two_ids(3)),
+    (3, [b"12"], _not_two_ids(b"12")),
+    (3, [(0, 1), {1: 0, 2: 0}], _not_two_ids({1: 0, 2: 0})),
 ]
 
 

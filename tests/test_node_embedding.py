@@ -473,6 +473,25 @@ def test_bucket_search_equals_searchsorted():
         assert np.array_equal(_bucket_search(table, cum, keys), np.searchsorted(cum, keys))
         square = gen.random((50, 6))
         assert np.array_equal(_bucket_search(table, cum, square), np.searchsorted(cum, square))
+    # a run of tiny noise values puts many cum values in one bucket, whose
+    # keys take the fallback search
+    noise = np.concatenate([[0.0], gen.random(20) * 1e-9, gen.random(40), np.full(9, 1e-12)])
+    noise[-1] = 1.0
+    cum = np.cumsum(noise)
+    cum /= cum[-1]
+    table = _bucket_table(cum)
+    held = np.diff(np.searchsorted(cum, np.arange(len(table) + 1) / len(table)))
+    assert np.any(table == -1) and np.all((table == -1) == (held >= 2)) and np.any(held == 1)
+    crowded = np.flatnonzero(table == -1)
+    keys = np.concatenate([
+        gen.random(4000),
+        (crowded + gen.random(len(crowded))) / len(table),  # one key in each crowded bucket
+        cum[cum < 1.0],
+        np.nextafter(cum[cum < 1.0], 0.0),
+        np.nextafter(cum[cum < 1.0], 1.0),
+    ])
+    keys = keys[keys < 1.0]
+    assert np.array_equal(_bucket_search(table, cum, keys), np.searchsorted(cum, keys))
 
 
 def test_stable_sigmoid_matches_the_two_branch_formula():
@@ -623,6 +642,21 @@ def test_walk_fits_search_the_graph_once(monkeypatch, cls):
     g = two_cliques(4)
     cls(walk_number=1, walk_length=4, dimensions=2, window_size=2).fit(g)
     assert searched == [g]
+
+
+def test_deepwalk_builds_no_generator_per_walk(monkeypatch):
+    # one generator for the walks' streams and one for training, however
+    # many walks there are: a count, which unlike a time does not vary by machine
+    built = []
+    generator = RandomSource.generator
+    monkeypatch.setattr(RandomSource, "generator", lambda self: built.append(self) or generator(self))
+    g = two_cliques(4)
+    counts = []
+    for walk_number in (1, 4, 16):
+        built.clear()
+        DeepWalkModel(walk_number=walk_number, walk_length=6, dimensions=2, window_size=2).fit(g)
+        counts.append(len(built))
+    assert counts == [2, 2, 2]
 
 
 def test_walklets_fit_checks_its_hyperparameters_once(monkeypatch):
