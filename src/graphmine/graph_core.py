@@ -288,8 +288,8 @@ def build_graph(n: int, edges) -> Graph:
     twice, raises :class:`DuplicateEdge`.  Self-loops and endpoints outside
     0..n-1 are rejected rather than dropped, so upstream data bugs surface
     loudly, and so is a pair that is not two values ``int()`` converts
-    without loss, or an edge that is a str, bytes or mapping
-    (:class:`InputContractError`).  Node ids are int64 and the
+    without loss, or an edge that is a str, bytes, bytearray, memoryview
+    or mapping (:class:`InputContractError`).  Node ids are int64 and the
     n + 1 offsets must be addressable: an ``n`` above 2**60 - 2 (64-bit
     builds) raises :class:`OutOfRangeNode` once every edge has passed those
     checks.
@@ -304,12 +304,14 @@ def build_graph(n: int, edges) -> Graph:
     except (ValueError, OverflowError):  # ragged rows
         pairs = np.empty(0)
     # anything but in-range integer pairs (floats, strings, bools, objects,
-    # ints beyond 64 bits) or a node count too large to address goes through
-    # the loop, which takes int() of each endpoint and raises for the first
+    # ints beyond 64 bits, bytearray or memoryview edges that numpy reads as
+    # uint8 rows) or a node count too large to address goes through the
+    # loop, which takes int() of each endpoint and raises for the first
     # faulty edge
     if (
         n > _MAX_ADDRESSABLE
         or pairs.dtype.kind not in "iu"
+        or (pairs.dtype == np.uint8 and edges is not pairs)
         or pairs.shape[1:] != (2,)
         or pairs.min(initial=0) < 0
         or pairs.max(initial=0) >= n
@@ -344,7 +346,7 @@ def _checked_pairs(n: int, edges) -> np.ndarray:
     seen: set[tuple[int, int]] = set()
     for edge in edges:
         try:
-            if isinstance(edge, (str, bytes, Mapping)):
+            if isinstance(edge, (str, bytes, bytearray, memoryview, Mapping)):
                 # these unpack into characters, byte values or keys, not two ids
                 raise TypeError(edge)
             u, v = map(_node_id, edge)

@@ -180,11 +180,11 @@ class WlSvdModel(Estimator):
         tf = _sparse().csr_matrix(
             (vals, (rows, cols)), shape=(n_graphs, len(vocabulary))
         )
-        idf = np.log(n_graphs / tf.getnnz(axis=0))
-        weighted = tf.multiply(idf[None, :]).tocsr()
+        # TF-IDF in place: a sorted float64 CSR that randomized_svd reads without a copy
+        tf.data *= np.log(n_graphs / tf.getnnz(axis=0))[tf.indices]
 
         k = min(self.dimensions, n_graphs, len(vocabulary))
-        u, s = randomized_svd(weighted, k, RandomSource(self.seed, 0))
+        u, s = randomized_svd(tf, k, RandomSource(self.seed, 0))
         embedding = np.zeros((n_graphs, self.dimensions))
         embedding[:, :k] = u * s
         self._embedding = embedding

@@ -84,16 +84,33 @@ def read_edge_list(path: str) -> Graph:
     """Parse `u,v` lines into a graph.
 
     Lines starting with ``#`` are comments; a ``# nodes=N`` header pins the
-    node count, otherwise it is inferred as 1 + max endpoint.
+    node count, otherwise it is inferred as 1 + max endpoint.  The file is
+    parsed once, in bulk; a faulty file raises :class:`InputContractError`
+    for its first faulty line.
     """
     text = _read_text(path)
+    lines = [line for line in map(str.strip, text.split("\n")) if line]
+    data = [line for line in lines if line[0] != "#"]
+    tokens = ",".join(data).split(",") if data else []
     try:
-        declared, edges = _edge_list_arrays(text)
+        declared = None
+        for line in lines:
+            if line[0] == "#":
+                declared = _node_count_header(line, declared)
+        # one comma on every line, so the tokens pair up line by line
+        if not set(map(str.count, data, repeat(","))) <= {1}:
+            raise ValueError("expected one comma per line")
+        # numpy parses each str with int(), so it accepts what int() accepts
+        ends = np.array(tokens, dtype=np.int64)
     except (ValueError, OverflowError):
-        # a faulty line, an endpoint beyond int64 or no edges at all: the
-        # per-line pass names the first faulty line and keeps Python ints
-        declared, edges = _edge_list_by_line(path, _lines(text))
-    return build_graph(declared, edges)
+        _raise_for_first_faulty_line(path, text)
+        # every line parses, so an endpoint is beyond int64: keep Python ints
+        ends = np.array([int(tok) for tok in tokens], dtype=object)
+    if declared is None:
+        if not data:
+            raise InputContractError(f"{path}: no edges and no node-count header")
+        declared = 1 + int(ends.max())
+    return build_graph(declared, ends.reshape(-1, 2))
 
 
 def _node_count_header(line: str, declared):
@@ -102,55 +119,23 @@ def _node_count_header(line: str, declared):
     return int(body[len("nodes="):]) if body.startswith("nodes=") else declared
 
 
-def _edge_list_arrays(text: str) -> tuple:
-    """The node count and the endpoints as an (m, 2) int64 array, parsed in
-    bulk.  Raises ValueError or OverflowError wherever the per-line pass
-    would raise, and for endpoints beyond int64."""
-    lines = [line for line in map(str.strip, text.split("\n")) if line]
-    declared = None
-    for line in lines:
+def _raise_for_first_faulty_line(path: str, text: str) -> None:
+    """Raise for the first line whose header or ``u,v`` pair does not parse;
+    return if every line parses."""
+    for lineno, line in _lines(text):
         if line[0] == "#":
-            declared = _node_count_header(line, declared)
-    data = [line for line in lines if line[0] != "#"]
-    # one comma on every line, so the joined tokens pair up line by line
-    if not set(map(str.count, data, repeat(","))) <= {1}:
-        raise ValueError("expected one comma per line")
-    # numpy parses each str with int(), so it accepts what int() accepts
-    ends = np.array(",".join(data).split(",") if data else [], dtype=np.int64)
-    if declared is None:
-        declared = 1 + int(ends.max())  # ValueError if there are no edges
-    return declared, ends.reshape(-1, 2)
-
-
-def _edge_list_by_line(path: str, lines) -> tuple:
-    """The node count and the ``(u, v)`` pairs, line by line; raises for the
-    first faulty line."""
-    edges = []
-    declared = None
-    for lineno, line in lines:
-        if line.startswith("#"):
             try:
-                declared = _node_count_header(line, declared)
+                _node_count_header(line, None)
             except ValueError:
                 raise InputContractError(f"{path}:{lineno}: bad node-count header: {line}")
             continue
         parts = line.split(",")
         if len(parts) != 2:
-            raise InputContractError(
-                f"{path}:{lineno}: expected 'u,v', got: {line}"
-            )
+            raise InputContractError(f"{path}:{lineno}: expected 'u,v', got: {line}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            int(parts[0]), int(parts[1])
         except ValueError:
-            raise InputContractError(
-                f"{path}:{lineno}: endpoints must be integers: {line}"
-            )
-        edges.append((u, v))
-    if declared is None:
-        if not edges:
-            raise InputContractError(f"{path}: no edges and no node-count header")
-        declared = 1 + max(max(u, v) for u, v in edges)
-    return declared, edges
+            raise InputContractError(f"{path}:{lineno}: endpoints must be integers: {line}")
 
 
 def edge_list_text(g: Graph) -> str:

@@ -17,7 +17,7 @@ fit is a pure function of (graph, hyperparameters, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -262,12 +262,14 @@ def _scatter_matrix(rows: int, b: int, k: int):
 
 
 def _train_pairs(
-    walks: np.ndarray, n: int, template: tuple[np.ndarray, np.ndarray], params: _WalkModel
+    corpus: WalkCorpus, template: tuple[np.ndarray, np.ndarray], params: _WalkModel, seed: int
 ) -> np.ndarray:
     """Minibatch SGD over the (center, context) pairs that ``template``
-    picks from each walk, in :func:`_pair_blocks` order (a batch never spans
-    two walk blocks); returns the center table, one row per node.  DeepWalk
-    passes :func:`_window_template`, Walklets the positions s apart.
+    picks from each walk of ``corpus``, in :func:`_pair_blocks` order (a
+    batch never spans two walk blocks); returns the center table, one row
+    per node.  ``params`` gives the skip-gram settings, ``seed`` the stream.
+    DeepWalk passes :func:`_window_template` and its seed, Walklets the
+    positions s apart and its seed + s.
 
     The learning rate decays linearly from ``learning_rate`` at the first
     pair to 1/100th of it at the last pair across all epochs; each pair in a
@@ -291,6 +293,7 @@ def _train_pairs(
     ``_WEIGHT_BOUND`` in absolute value at the end of a chunk raises
     :class:`NoConvergence`.
     """
+    walks, n = corpus.walks, corpus.node_count
     total_pairs = walks.shape[0] * len(template[0])
     if total_pairs == 0:
         raise EmptyCorpus(f"no training pairs in walks of shape {walks.shape}")
@@ -298,7 +301,7 @@ def _train_pairs(
     if low < 0 or high >= n:
         raise OutOfRangeNode(f"walk node {low if low < 0 else high} not in 0..{n - 1}")
     d = params.dimensions
-    gen = RandomSource(params.seed, 0).generator()
+    gen = RandomSource(seed, 0).generator()
     table = np.concatenate([(gen.random((n, d)) - 0.5) / d, np.zeros((n, d))])
     u, v = table[:n], table[n:]  # centers, contexts
 
@@ -357,9 +360,8 @@ def sgns_train(corpus: WalkCorpus, params: _WalkModel) -> np.ndarray:
             f"sgns_train takes a walk model as params, got {type(params).__name__}"
         )
     Estimator._require_at_least(params)
-    walks = corpus.walks
-    template = _window_template(walks.shape[1], params.window_size)
-    return _train_pairs(walks, corpus.node_count, template, params)
+    template = _window_template(corpus.walks.shape[1], params.window_size)
+    return _train_pairs(corpus, template, params, params.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +418,7 @@ class WalkletsModel(_WalkModel):
         corpus = self._walks(data)
         length = self.walk_length
         self._embedding = np.concatenate([
-            _train_pairs(
-                corpus.walks, corpus.node_count, (np.arange(length - s), np.arange(s, length)),
-                replace(self, seed=self.seed + s),
-            )
+            _train_pairs(corpus, (np.arange(length - s), np.arange(s, length)), self, self.seed + s)
             for s in range(1, self.window_size + 1)
         ], axis=1)
 

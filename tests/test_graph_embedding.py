@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from graphmine import graph_embedding
 from graphmine import (
     DENSE_SIZE_CAP,
     DisconnectedGraph,
@@ -21,6 +22,7 @@ from graphmine import (
     SfModel,
     WlSvdModel,
     build_graph,
+    randomized_svd,
     wl_features,
 )
 from builders import (
@@ -238,6 +240,21 @@ def test_wl_svd_at_full_rank_keeps_the_tf_idf_gram_matrix():
     ).get_embedding()
     gram = w @ w.T
     assert np.abs(emb @ emb.T - gram).max() <= 1e-9 * np.abs(gram).max()
+
+
+def test_wl_svd_hands_randomized_svd_a_sorted_float64_csr(monkeypatch):
+    # the form randomized_svd reads without a copy
+    handed = []
+
+    def spy(m, k, rng):
+        handed.append(m)
+        return randomized_svd(m, k, rng)
+
+    monkeypatch.setattr(graph_embedding, "randomized_svd", spy)
+    graphs = [random_connected(9 + s, 15, s) for s in range(5)] + [star_graph(6)]
+    WlSvdModel(dimensions=4).fit(GraphCorpus(graphs=graphs))
+    [m] = handed
+    assert m.format == "csr" and m.dtype == np.float64 and m.has_sorted_indices
 
 
 def test_wl_svd_is_deterministic():

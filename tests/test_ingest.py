@@ -108,6 +108,10 @@ def _compare_readers(data: bytes) -> None:
 @example(str(2**63 - 1).encode() + b",0\n")  # 1 + max endpoint is beyond int64
 @example(b"-3,-2\n")  # 1 + max endpoint is below one node
 @example(b"0,1\x00\n")
+@example(b"0," + b"9" * 30 + b"\n# nodes=x\n")  # beyond int64, then a bad header
+@example(b"0,1" + b"0" * 30 + b"\n1,x\n")  # numpy stops on the overflow before the bad line
+@example(b"0,1\n1," + b"9" * 30 + b"\n")  # 1 + max endpoint of Python ints is beyond int64
+@example(b"#nodes=4\n-" + b"9" * 30 + b",1\n")  # below int64 and out of range
 def test_read_edge_list_matches_the_per_line_reader(data):
     _compare_readers(data)
 
@@ -117,7 +121,7 @@ def test_valid_input_never_reaches_the_loops(tmp_path, monkeypatch):
         raise AssertionError("a per-line or per-edge loop ran on valid input")
 
     monkeypatch.setattr(graph_core, "_checked_pairs", loop)
-    monkeypatch.setattr(io, "_edge_list_by_line", loop)
+    monkeypatch.setattr(io, "_raise_for_first_faulty_line", loop)
     path = tmp_path / "g.csv"
     # every spelling int() accepts, comments, blank lines and CRLF
     path.write_bytes("# nodes=2000\r\n1_000, ٣\n\n# a comment\n+7,４２\r".encode("utf-8"))
@@ -131,6 +135,7 @@ def test_valid_input_never_reaches_the_loops(tmp_path, monkeypatch):
 # --- build_graph against the per-edge loop ---
 
 _PAIRS = [(0, 1), (2, 1), (3, 0), (1, 3)]
+_VIEW = memoryview(b"\x00\x01")  # its repr names its address: one object for case and message
 
 
 def _not_two_ids(edge):
@@ -182,6 +187,9 @@ _BUILD_CASES = [
     (4, [(0, 1), 3], _not_two_ids(3)),
     (3, [b"12"], _not_two_ids(b"12")),
     (3, [(0, 1), {1: 0, 2: 0}], _not_two_ids({1: 0, 2: 0})),
+    (3, [bytearray(b"\x00\x01")], _not_two_ids(bytearray(b"\x00\x01"))),
+    (3, [_VIEW], _not_two_ids(_VIEW)),
+    (4, [(np.uint8(u), np.uint8(v)) for u, v in _PAIRS]),
 ]
 
 
