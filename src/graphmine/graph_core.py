@@ -287,12 +287,12 @@ def build_graph(n: int, edges) -> Graph:
     (u, v) and (v, u) denote the same edge; supplying both, or the same pair
     twice, raises :class:`DuplicateEdge`.  Self-loops and endpoints outside
     0..n-1 are rejected rather than dropped, so upstream data bugs surface
-    loudly, and so is a pair that is not two values ``int()`` converts
-    without loss, or an edge that is a str, bytes, bytearray, memoryview
-    or mapping (:class:`InputContractError`).  Node ids are int64 and the
-    n + 1 offsets must be addressable: an ``n`` above 2**60 - 2 (64-bit
-    builds) raises :class:`OutOfRangeNode` once every edge has passed those
-    checks.
+    loudly, and so is an edge that is not two integers, Python or numpy,
+    bool excluded (:class:`InputContractError`); a list that mixes bools
+    with ints builds, as numpy reads it as integers.  Node ids are int64
+    and the n + 1 offsets must be addressable: an ``n`` above 2**60 - 2
+    (64-bit builds) raises :class:`OutOfRangeNode` once every edge has
+    passed those checks.
     """
     _require("n", n, int)
     if n < 1:
@@ -306,8 +306,7 @@ def build_graph(n: int, edges) -> Graph:
     # anything but in-range integer pairs (floats, strings, bools, objects,
     # ints beyond 64 bits, bytearray or memoryview edges that numpy reads as
     # uint8 rows) or a node count too large to address goes through the
-    # loop, which takes int() of each endpoint and raises for the first
-    # faulty edge
+    # loop, which raises for the first faulty edge or finds integers
     if (
         n > _MAX_ADDRESSABLE
         or pairs.dtype.kind not in "iu"
@@ -316,7 +315,8 @@ def build_graph(n: int, edges) -> Graph:
         or pairs.min(initial=0) < 0
         or pairs.max(initial=0) >= n
     ):
-        pairs = _checked_pairs(n, edges)
+        _raise_for_first_faulty_edge(n, edges)
+        pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
     pairs = pairs.astype(np.int64, copy=False)
     lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
     heads, tails = np.concatenate([lo, hi]), np.concatenate([hi, lo])
@@ -325,33 +325,27 @@ def build_graph(n: int, edges) -> Graph:
     # a repeated pair sorts next to its twin, and a self-loop (u, u) lists
     # u twice among u's targets: the loop names the first such edge
     if np.any((heads[1:] == heads[:-1]) & (targets[1:] == targets[:-1])):
-        _checked_pairs(n, edges)
+        _raise_for_first_faulty_edge(n, edges)
     counts = np.bincount(heads, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return Graph(n, offsets, targets)
 
 
-def _node_id(x) -> int:
-    """``int(x)``; ValueError where that loses ``x``'s value (a str is parsed, not compared)."""
-    i = int(x)
-    if i != x and not isinstance(x, (str, bytes)):
-        raise ValueError(x)
-    return i
-
-
-def _checked_pairs(n: int, edges) -> np.ndarray:
-    """The per-edge loop: raises for the first faulty edge in input order,
-    else returns the distinct ``(lo, hi)`` pairs as an (m, 2) int64 array."""
+def _raise_for_first_faulty_edge(n: int, edges) -> None:
+    """The per-edge loop: raises for the first faulty edge in input order.  It
+    passes only no edges, or integers that numpy did not read as an integer
+    array (``np.uint8`` pairs, Python ints mixed with ``np.uint64``)."""
     seen: set[tuple[int, int]] = set()
     for edge in edges:
-        try:
-            if isinstance(edge, (str, bytes, bytearray, memoryview, Mapping)):
-                # these unpack into characters, byte values or keys, not two ids
-                raise TypeError(edge)
-            u, v = map(_node_id, edge)
-        except (TypeError, ValueError, OverflowError):
-            raise InputContractError(f"edge {reprlib.repr(edge)} is not two integer node ids") from None
+        try:  # bytes-likes and mappings unpack into byte values or keys, not two ids
+            u, v = () if isinstance(edge, (bytes, bytearray, memoryview, Mapping)) else edge
+        except (TypeError, ValueError):
+            u = v = None
+        if not all(isinstance(x, numbers.Integral) and type(x) is not bool for x in (u, v)):
+            shown = edge.tobytes() if isinstance(edge, memoryview) else edge
+            raise InputContractError(f"edge {reprlib.repr(shown)} is not two integer node ids")
+        u, v = int(u), int(v)
         if not (0 <= u < n) or not (0 <= v < n):
             raise OutOfRangeNode(f"edge ({u},{v}) outside 0..{n - 1}")
         if u == v:
@@ -361,7 +355,6 @@ def _checked_pairs(n: int, edges) -> np.ndarray:
             raise DuplicateEdge(f"edge ({u},{v}) given more than once")
         seen.add(key)
     _check_node_count(n)
-    return np.array(list(seen), dtype=np.int64).reshape(-1, 2)
 
 
 def _reaches_all(g: Graph) -> bool:

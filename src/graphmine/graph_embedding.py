@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphTooLarge, IncompleteFeatureMap, InputContractError, LengthMismatch
+from .errors import (
+    GraphTooLarge,
+    IncompleteFeatureMap,
+    InputContractError,
+    LengthMismatch,
+    OutOfRangeNode,
+)
 from .graph_core import Estimator, Graph, RandomSource, _require, _sparse, normalized_laplacian
 from .linalg import DENSE_SIZE_CAP, eigvals_symmetric, randomized_svd
 
@@ -68,8 +74,9 @@ def _hash_label(own: str, neighbor_labels: list) -> str:
 def wl_features(g: Graph, features: dict | None, iterations: int) -> Counter:
     """Iterated neighborhood-refinement string features.
 
-    Round 0 labels are the provided per-node strings, or the decimal degree
-    when no map is given; round 1 hashes them escaped by :func:`_escape`.
+    Round 0 labels are the provided per-node strings, from a map whose keys
+    are exactly the nodes, or the decimal degree when no map is given; round
+    1 hashes them escaped by :func:`_escape`.
     Each round hashes a node's own label together with its sorted neighbor
     labels into a stable 64-bit hex string.  Returns the multiset of all
     rounds' labels, node_count * (iterations + 1) of them, each prefixed
@@ -83,6 +90,9 @@ def wl_features(g: Graph, features: dict | None, iterations: int) -> Counter:
         missing = [v for v in range(n) if v not in features]
         if missing:
             raise IncompleteFeatureMap(f"feature map missing node {missing[0]}")
+        if len(features) > n:  # every node is a key, so some key is not a node
+            key = next(k for k in features if k not in range(n))
+            raise OutOfRangeNode(f"feature map key {key!r} outside 0..{n - 1}")
         labels = [features[v] for v in range(n)]
         wrong = [v for v in range(n) if not isinstance(labels[v], str)]
         if wrong:

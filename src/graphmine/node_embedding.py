@@ -293,13 +293,14 @@ def _train_pairs(
     ``_WEIGHT_BOUND`` in absolute value at the end of a chunk raises
     :class:`NoConvergence`.
     """
-    walks, n = corpus.walks, corpus.node_count
+    walks, n = corpus.walks, int(corpus.node_count)
     total_pairs = walks.shape[0] * len(template[0])
     if total_pairs == 0:
         raise EmptyCorpus(f"no training pairs in walks of shape {walks.shape}")
     low, high = walks.min(), walks.max()
     if low < 0 or high >= n:
         raise OutOfRangeNode(f"walk node {low if low < 0 else high} not in 0..{n - 1}")
+    walks = walks.astype(np.int64, copy=False)  # in range: the index arithmetic below is int64
     d = params.dimensions
     gen = RandomSource(seed, 0).generator()
     table = np.concatenate([(gen.random((n, d)) - 0.5) / d, np.zeros((n, d))])
@@ -354,13 +355,20 @@ def sgns_train(corpus: WalkCorpus, params: _WalkModel) -> np.ndarray:
     """Skip-gram with negative sampling on all window co-occurrences of
     ``corpus``; returns the center-vector table, one row per node.  ``params``
     is a walk model (a :class:`DeepWalkModel` or :class:`WalkletsModel`),
-    checked at its minimums; the trainer reads its six skip-gram fields."""
+    checked at its minimums; the trainer reads its six skip-gram fields.
+    ``corpus.walks`` must be a 2-D array of an integer dtype (bool is not
+    one) and ``corpus.node_count`` an integer >= 1."""
     if not isinstance(params, _WalkModel):
         raise InputContractError(
             f"sgns_train takes a walk model as params, got {type(params).__name__}"
         )
     Estimator._require_at_least(params)
-    template = _window_template(corpus.walks.shape[1], params.window_size)
+    walks = corpus.walks
+    if not isinstance(walks, np.ndarray) or walks.ndim != 2 or walks.dtype.kind not in "iu":
+        got = f"{walks.ndim}-D {walks.dtype}" if isinstance(walks, np.ndarray) else type(walks).__name__
+        raise InputContractError(f"walks must be a 2-D integer array, got {got}")
+    _require("node_count", corpus.node_count, int, 1)
+    template = _window_template(walks.shape[1], params.window_size)
     return _train_pairs(corpus, template, params, params.seed)
 
 

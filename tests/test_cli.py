@@ -303,6 +303,15 @@ def test_malformed_files_exit_2_without_traceback(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("key", ["7", "-1"])
+def test_corpus_feature_key_that_is_no_node_exits_2(tmp_path, capsys, key):
+    corpus = tmp_path / "c.jsonl"
+    features = {"0": "a", "1": "b", "2": "c", key: "d"}
+    corpus.write_text(json.dumps({"edges": [[0, 1], [1, 2]], "features": features}) + "\n")
+    assert main(["embed-graphs", "--algo", "wl-svd", "--corpus", str(corpus)]) == 2
+    assert capsys.readouterr().err == f"error: feature map key {key} outside 0..2\n"
+
+
 def test_threads_flag_is_accepted(tmp_path):
     res = run_cli("--threads", 1, "generate", "--nodes", 6, "--edges", 8, "--seed", 0)
     assert res.returncode == 0

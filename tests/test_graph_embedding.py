@@ -19,6 +19,7 @@ from graphmine import (
     LengthMismatch,
     NetLsdModel,
     NotFitted,
+    OutOfRangeNode,
     SfModel,
     WlSvdModel,
     build_graph,
@@ -114,6 +115,18 @@ def test_wl_labels_with_separators_do_not_collide():
 def test_wl_rejects_incomplete_feature_map():
     with pytest.raises(IncompleteFeatureMap):
         wl_features(path_graph(3), {0: "a", 2: "b"}, 1)
+
+
+@pytest.mark.parametrize("key", [5, -1, "k", 1.5], ids=["5", "-1", "k", "1.5"])
+def test_wl_feature_map_keys_must_be_nodes(key):
+    # every node has its entry, so the one more key is not a node: it used to be dropped
+    features = {0: "a", key: "x", 1: "b", 2: "c"}
+    message = re.escape(f"feature map key {key!r} outside 0..2")
+    with pytest.raises(OutOfRangeNode, match=f"^{message}$"):
+        wl_features(path_graph(3), features, 1)
+    corpus = GraphCorpus(graphs=[path_graph(3), path_graph(3)], features=[None, features])
+    with pytest.raises(OutOfRangeNode, match=f"^{message}$"):
+        WlSvdModel().fit(corpus)
 
 
 @pytest.mark.parametrize(

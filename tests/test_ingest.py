@@ -1,10 +1,12 @@
 """Graph ingestion on arrays gives the graphs, exceptions and messages of the
 per-line and per-edge loops it replaced (``frozen_ingest``), except that
-``build_graph`` refuses a pair that is not two values ``int()`` converts
-without loss."""
+``build_graph`` takes node ids by the integer rule of labels: an edge that is
+not two integers, Python or numpy, bool excluded, raises
+``InputContractError`` where the frozen loop took ``int()`` of it."""
 
 import os
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from graphmine import (
     RandomSource,
     build_graph,
     erdos_renyi_gnm,
+    read_corpus_jsonl,
     read_edge_list,
 )
 from graphmine import graph_core, io
@@ -120,7 +123,7 @@ def test_valid_input_never_reaches_the_loops(tmp_path, monkeypatch):
     def loop(*args):
         raise AssertionError("a per-line or per-edge loop ran on valid input")
 
-    monkeypatch.setattr(graph_core, "_checked_pairs", loop)
+    monkeypatch.setattr(graph_core, "_raise_for_first_faulty_edge", loop)
     monkeypatch.setattr(io, "_raise_for_first_faulty_line", loop)
     path = tmp_path / "g.csv"
     # every spelling int() accepts, comments, blank lines and CRLF
@@ -128,14 +131,21 @@ def test_valid_input_never_reaches_the_loops(tmp_path, monkeypatch):
     assert read_edge_list(str(path)).edges() == [(3, 1000), (7, 42)]
     path.write_text("5,0\n0,2\n")
     assert read_edge_list(str(path)).node_count == 6
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"edges": [[0, 1], [2, 1]], "features": {"0": "a", "1": "b", "2": "c"}}\n'
+                    '{"edges": [[3, 0]]}\n')
+    assert [h.edges() for h in read_corpus_jsonl(str(path)).graphs] == [[(0, 1), (1, 2)], [(0, 3)]]
     g = erdos_renyi_gnm(200, 1000, RandomSource(3, 0), connected=True)
     assert build_graph(200, g.edges()).edges() == g.edges()
+    pairs = np.array(g.edges())
+    for edges in (pairs.tolist(), pairs.astype(np.uint32)):
+        assert build_graph(200, edges).edges() == g.edges()
+    assert build_graph(3, [(True, False), (1, 2)]).edges() == [(0, 1), (1, 2)]
 
 
 # --- build_graph against the per-edge loop ---
 
 _PAIRS = [(0, 1), (2, 1), (3, 0), (1, 3)]
-_VIEW = memoryview(b"\x00\x01")  # its repr names its address: one object for case and message
 
 
 def _not_two_ids(edge):
@@ -155,11 +165,11 @@ _BUILD_CASES = [
     (4, [(np.int64(u), np.int32(v)) for u, v in _PAIRS]),
     (4, [(np.uint64(u), v) for u, v in _PAIRS]),
     (4, [(float(u), v + 0.5) for u, v in _PAIRS], _not_two_ids((0.0, 1.5))),
-    (4, np.array(_PAIRS, dtype=np.float64)),
-    (4, [(str(u), str(v)) for u, v in _PAIRS]),
+    (4, np.array(_PAIRS, dtype=np.float64), _not_two_ids(np.array([0.0, 1.0]))),
+    (4, [(str(u), str(v)) for u, v in _PAIRS], _not_two_ids(("0", "1"))),
     (4, ["01", "12", "23"], _not_two_ids("01")),
     (4, [(True, False), (1, 2)]),
-    (4, np.array([(True, False)])),
+    (4, np.array([(True, False)]), _not_two_ids(np.array([True, False]))),
     (4, []),
     (4, np.zeros((0, 2), dtype=np.int64)),
     (4, [(0, 1, 2)], _not_two_ids((0, 1, 2))),
@@ -177,26 +187,31 @@ _BUILD_CASES = [
     (-2, _PAIRS),
     (2**64, [(0, 1)]),
     (2**64, np.array([(0, 2**63 + 1)], dtype=np.uint64)),
-    (4, [(float(u), np.float64(v)) for u, v in _PAIRS]),
+    (4, [(float(u), np.float64(v)) for u, v in _PAIRS], _not_two_ids((0.0, np.float64(1.0)))),
     (4, [(0, 1), (2, "x")], _not_two_ids((2, "x"))),
     (4, [(None, 1)], _not_two_ids((None, 1))),
     (4, [(0, 1), (0, float("nan"))], _not_two_ids((0, float("nan")))),
     (4, [(float("inf"), 1)], _not_two_ids((float("inf"), 1))),
     (4, [(0, 1), (1, np.float64(2.5))], _not_two_ids((1, np.float64(2.5)))),
-    (4, np.array([(0, 1), (1, 2.5)]), _not_two_ids(np.array([1.0, 2.5]))),
+    (4, np.array([(0, 1), (1, 2.5)]), _not_two_ids(np.array([0.0, 1.0]))),
     (4, [(0, 1), 3], _not_two_ids(3)),
     (3, [b"12"], _not_two_ids(b"12")),
     (3, [(0, 1), {1: 0, 2: 0}], _not_two_ids({1: 0, 2: 0})),
     (3, [bytearray(b"\x00\x01")], _not_two_ids(bytearray(b"\x00\x01"))),
-    (3, [_VIEW], _not_two_ids(_VIEW)),
+    (3, [memoryview(b"\x00\x01")], _not_two_ids(b"\x00\x01")),
     (4, [(np.uint8(u), np.uint8(v)) for u, v in _PAIRS]),
+    (4, [(0, 1), (2, 1), (3, 0.0)], _not_two_ids((3, 0.0))),
+    (4, [(Fraction(2, 1), 1)], _not_two_ids((Fraction(2, 1), 1))),
+    (4, (edge for edge in ())),
+    (4, [(0, 1), (np.uint64(2), 1), (3, np.uint64(0))]),
 ]
 
 
 @pytest.mark.parametrize("case", _BUILD_CASES, ids=range(len(_BUILD_CASES)))
 def test_build_graph_matches_the_per_edge_loop(case):
-    # a third entry is the outcome where the package refuses a pair that
-    # the loop, taking int() of each endpoint, builds or fails on untyped
+    # a third entry is the outcome where the package refuses an edge that
+    # is not two integers, which the loop, taking int() of each endpoint,
+    # builds or fails on untyped
     n, edges, *want = case
     expected = want[0] if want else _reference(build_graph_by_edge, n, edges)
     assert _outcome(build_graph, n, edges) == expected

@@ -264,6 +264,39 @@ def test_trainer_rejects_walk_ids_out_of_range():
             sgns_train(WalkCorpus(walks=walks, node_count=3), DeepWalkModel(dimensions=4))
 
 
+_WALKS = np.array([[0, 1, 2], [2, 0, 1]], dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "walks, node_count, message",
+    [
+        (_WALKS.astype(np.float64), 3, "walks must be a 2-D integer array, got 2-D float64"),
+        (_WALKS.astype(bool), 3, "walks must be a 2-D integer array, got 2-D bool"),
+        (_WALKS[0], 3, "walks must be a 2-D integer array, got 1-D int64"),
+        (_WALKS.tolist(), 3, "walks must be a 2-D integer array, got list"),
+        (_WALKS, 3.0, "node_count must be an integer, got 3.0"),
+        (_WALKS, True, "node_count must be an integer, got True"),
+        (_WALKS, 0, "node_count must be >= 1, got 0"),
+    ],
+    ids=["float", "bool", "1-d", "list", "count-float", "count-bool", "count-zero"],
+)
+def test_trainer_checks_its_walk_corpus_by_the_integer_rule(walks, node_count, message):
+    with pytest.raises(InputContractError, match=f"^{message}$"):
+        sgns_train(WalkCorpus(walks=walks, node_count=node_count), DeepWalkModel(dimensions=4))
+
+
+def test_trainer_takes_walks_and_node_counts_of_any_integer_dtype():
+    # int8 walks over 200 nodes: ids near 127 must not wrap in the index arithmetic
+    n = 200
+    walks = np.array([[0, 1, 127], [127, 5, 1]], dtype=np.int64)
+    params = DeepWalkModel(dimensions=4, window_size=2, seed=3)
+    want = sgns_train(WalkCorpus(walks=walks, node_count=n), params)
+    for dtype in (np.int8, np.uint8, np.int32, np.uint64):
+        for count in (n, np.int16(n), np.uint64(n)):
+            corpus = WalkCorpus(walks=walks.astype(dtype), node_count=count)
+            assert sgns_train(corpus, params).tobytes() == want.tobytes(), (dtype, count)
+
+
 def test_trainer_stays_bounded_on_a_hub_graph():
     # a hub node appears in nearly every pair; updates must not blow up
     from builders import star_graph
